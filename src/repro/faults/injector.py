@@ -218,7 +218,9 @@ class FaultInjector:
         seq = self._msg_seq.get(seq_key, 0)
         self._msg_seq[seq_key] = seq + 1
         payloads = self._attack(round_index, link, sender, payloads, ref)
-        gen = self._rng(round_index, "msg", f"{link}:{sender}", seq)
+        if self.plan.msg_loss > 0.0 or self.plan.msg_corrupt > 0.0:
+            # The upload's fate stream, derived only when a fate is drawn.
+            gen = self._rng(round_index, "msg", f"{link}:{sender}", seq)
         policy = self.plan.retry
         if self.plan.msg_loss > 0.0:
             delivered = False

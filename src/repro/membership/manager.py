@@ -3,9 +3,10 @@
 The :class:`MembershipManager` turns a
 :class:`~repro.membership.plan.ChurnPlan` into concrete per-round membership
 transitions.  Every draw is a pure function of
-``(plan.seed, round, kind, entity)`` via dedicated
-:class:`numpy.random.SeedSequence` streams (the same idiom as the fault
-injector), so
+``(plan.seed, round, kind, entity)``: the first uniform of a dedicated
+:class:`numpy.random.SeedSequence` stream (the same idiom as the fault
+injector), computed for all entities of a kind in one batch by
+:func:`~repro.utils.rng.first_uniforms`, so
 
 * the same plan + seed reproduce the same arrivals, departures, crashes and
   partitions regardless of which algorithm (or how much observability) is
@@ -32,11 +33,15 @@ net population delta.
 
 from __future__ import annotations
 
+import bisect
+import heapq
+from itertools import compress
+
 import numpy as np
 
 from repro.membership.plan import ChurnPlan
 from repro.obs import NULL_TRACER
-from repro.utils.rng import stable_key
+from repro.utils.rng import first_uniforms, stable_key
 
 __all__ = ["MembershipManager", "NullMembership", "NULL_MEMBERSHIP",
            "resolve_membership"]
@@ -140,21 +145,34 @@ class MembershipManager:
         self._actors: dict[int, object] = {}
         self._client_ids: tuple[int, ...] = ()
         self._initial_home: dict[int, int] = {}
+        # Spawn keys of the bound entities ("client" / "edge" / "link"),
+        # derived on first draw and reused every round.
+        self._keys: dict[str, np.ndarray] = {}
         # ---- the live topology (checkpointed; see state_dict) -------------
         self.active: set[int] = set()
         self.home: dict[int, int] = {}
         self.edge_up: dict[int, bool] = {}
         self.partitioned: set[int] = set()
+        # ---- indexes derived from it (rebuilt on bind and on restore) -----
+        self._active_mask = np.empty(0, dtype=bool)  # aligned with _client_ids
+        self._members: list[list[int]] = []          # edge -> sorted homed ids
 
     # ------------------------------------------------------------ rng plumbing
-    def _rng(self, round_index: int, kind: str,
-             entity: str) -> np.random.Generator:
-        """A generator that is a pure function of its arguments and the seed."""
-        ss = np.random.SeedSequence(
-            entropy=self.plan.seed,
-            spawn_key=(stable_key("membership:" + kind), round_index,
-                       stable_key(entity)))
-        return np.random.default_rng(ss)
+    def _uniforms(self, round_index: int, kind: str,
+                  entity: str) -> np.ndarray:
+        """This round's ``kind`` draw for every bound ``entity`` in id order:
+        element ``i`` is the first uniform of the stream of
+        ``(seed, kind, round, f"{entity}:{id_i}")``."""
+        keys = self._keys.get(entity)
+        if keys is None:
+            ids = (self._client_ids if entity == "client"
+                   else range(self._num_edges))
+            keys = self._keys[entity] = np.fromiter(
+                (stable_key(f"{entity}:{i}") for i in ids),
+                dtype=np.uint64, count=len(ids))
+        return first_uniforms(self.plan.seed,
+                              (stable_key("membership:" + kind), round_index),
+                              keys)
 
     def _emit(self, round_index: int, action: str, entity: str,
               **fields) -> None:
@@ -169,8 +187,8 @@ class MembershipManager:
         ``resolve_client``) bind *lazily*: the manager keeps ids and homes
         only, and actors are materialized through the population exactly when
         a roster is assembled.  Membership state is O(population ids) either
-        way — ids, not clients — which is the documented cost of composing
-        churn with a virtual population.
+        way — ids, not clients; per round, the churn draw is one batched
+        kernel call over those ids and the Python work is O(transitions).
         """
         if not self.enabled:
             return
@@ -211,15 +229,16 @@ class MembershipManager:
 
     def _init_population(self, client_ids) -> None:
         self._client_ids = tuple(client_ids)
+        self._keys = {}
         self.home = dict(self._initial_home)
         self.edge_up = {eid: True for eid in range(self._num_edges)}
         self.partitioned = set()
-        self.active = set(self._client_ids)
+        self._active_mask = np.ones(len(self._client_ids), dtype=bool)
         if self.plan.start_absent > 0.0:
-            for cid in self._client_ids:
-                gen = self._rng(0, "start_absent", f"client:{cid}")
-                if gen.random() < self.plan.start_absent:
-                    self.active.discard(cid)
+            u = self._uniforms(0, "start_absent", "client")
+            self._active_mask = u >= self.plan.start_absent
+        self.active = set(compress(self._client_ids, self._active_mask))
+        self._index_homes()
         self._bound = True
         # The ledger's opening balance: the initial active population.
         self._emit(-1, "population", "run", total=len(self._client_ids))
@@ -242,8 +261,26 @@ class MembershipManager:
         roster, byte-identically."""
         if not self.enabled or not self._rehoming:
             return None
-        return [self._actors[cid] for cid in self._client_ids
-                if cid in self.active and self.home.get(cid) == edge_id]
+        active = self.active
+        return [self._actors[cid] for cid in self._members[edge_id]
+                if cid in active]
+
+    # ------------------------------------------------------ derived indexes
+    def _index_homes(self) -> None:
+        """Rebuild the per-edge member index from ``home`` (bind time and
+        checkpoint restore)."""
+        self._members = [[] for _ in range(self._num_edges)]
+        for cid in self._client_ids:
+            eid = self.home.get(cid)
+            if eid is not None:
+                self._members[eid].append(cid)
+
+    def _set_home(self, cid: int, dst: int) -> None:
+        """Move ``cid``'s home to ``dst``, keeping the member index in step."""
+        members = self._members[self.home[cid]]
+        del members[bisect.bisect_left(members, cid)]
+        bisect.insort(self._members[dst], cid)
+        self.home[cid] = dst
 
     # ------------------------------------------------------------- transitions
     def begin_round(self, round_index: int, *, tracker=None, timing=None,
@@ -286,20 +323,23 @@ class MembershipManager:
                        dim: int) -> None:
         p_fail = 1.0 / self.plan.edge_mttf
         p_heal = 1.0 / self.plan.edge_mttr
-        for eid in range(self._num_edges):
+        u = self._uniforms(round_index, "edge_episode", "edge")
+        up = np.array([self.edge_up[e] for e in range(self._num_edges)],
+                      dtype=bool)
+        # An edge's transition depends only on its own state, so the set of
+        # transitioning edges is fixed up front; they apply in id order.
+        for eid in np.flatnonzero(np.where(up, u < p_fail,
+                                           u < p_heal)).tolist():
             entity = f"edge:{eid}"
-            gen = self._rng(round_index, "edge_episode", entity)
-            u = gen.random()
             if self.edge_up[eid]:
-                if u < p_fail:
-                    self.edge_up[eid] = False
-                    self._detect(round_index, entity, tracker, timing)
-                    self._emit(round_index, "edge_crash", entity)
-                    self.obs.count("membership_edge_crashes_total")
-                    if self.plan.rehome and self._rehoming:
-                        self._rehome_orphans(round_index, eid, tracker,
-                                             timing, dim)
-            elif u < p_heal:
+                self.edge_up[eid] = False
+                self._detect(round_index, entity, tracker, timing)
+                self._emit(round_index, "edge_crash", entity)
+                self.obs.count("membership_edge_crashes_total")
+                if self.plan.rehome and self._rehoming:
+                    self._rehome_orphans(round_index, eid, tracker,
+                                         timing, dim)
+            else:
                 self.edge_up[eid] = True
                 self._emit(round_index, "edge_recover", entity)
                 self.obs.count("membership_recovered_total")
@@ -323,24 +363,20 @@ class MembershipManager:
         survivors = [e for e in range(self._num_edges)
                      if e != dead_eid and self.edge_up[e]
                      and e not in self.partitioned]
-        orphans = [cid for cid in self._client_ids
-                   if self.home.get(cid) == dead_eid]
+        orphans = list(self._members[dead_eid])
         if not survivors or not orphans:
             return
-        load = {e: 0 for e in survivors}
-        for cid, eid in self.home.items():
-            if eid in load:
-                load[eid] += 1
         n = self._num_edges
-
-        def ring(e: int) -> int:
-            return min((e - dead_eid) % n, (dead_eid - e) % n)
+        targets = [(len(self._members[e]),
+                    min((e - dead_eid) % n, (dead_eid - e) % n), e)
+                   for e in survivors]
+        heapq.heapify(targets)
 
         handoff_targets: set[int] = set()
         for cid in orphans:
-            target = min(survivors, key=lambda e: (load[e], ring(e), e))
-            load[target] += 1
-            self.home[cid] = target
+            load, ring, target = targets[0]
+            heapq.heapreplace(targets, (load + 1, ring, target))
+            self._set_home(cid, target)
             handoff_targets.add(target)
             if cid in self.active:
                 self._emit(round_index, "re-homed", f"client:{cid}",
@@ -366,17 +402,18 @@ class MembershipManager:
                        dim: int) -> None:
         p_cut = 1.0 / self.plan.link_mttf
         p_heal = 1.0 / self.plan.link_mttr
-        for eid in range(self._num_edges):
+        u = self._uniforms(round_index, "link_episode", "link")
+        cut = np.zeros(self._num_edges, dtype=bool)
+        cut[list(self.partitioned)] = True
+        for eid in np.flatnonzero(np.where(cut, u < p_heal,
+                                           u < p_cut)).tolist():
             entity = f"link:{eid}"
-            gen = self._rng(round_index, "link_episode", entity)
-            u = gen.random()
             if eid not in self.partitioned:
-                if u < p_cut:
-                    self.partitioned.add(eid)
-                    self._detect(round_index, entity, tracker, timing)
-                    self._emit(round_index, "partition", entity, edge=eid)
-                    self.obs.count("membership_partitions_total")
-            elif u < p_heal:
+                self.partitioned.add(eid)
+                self._detect(round_index, entity, tracker, timing)
+                self._emit(round_index, "partition", entity, edge=eid)
+                self.obs.count("membership_partitions_total")
+            else:
                 self.partitioned.discard(eid)
                 self._emit(round_index, "heal", entity, edge=eid)
                 self.obs.count("membership_heals_total")
@@ -393,34 +430,35 @@ class MembershipManager:
     def _client_churn(self, round_index: int, tracker, timing,
                       dim: int) -> None:
         plan = self.plan
-        for cid in self._client_ids:
+        u = self._uniforms(round_index, "client_churn", "client")
+        mask = self._active_mask
+        # A client's transition depends only on whether it is active, so
+        # the transitioning set is fixed up front; it applies in id order.
+        for idx in np.flatnonzero(np.where(mask, u < plan.depart,
+                                           u < plan.arrive)).tolist():
+            cid = self._client_ids[idx]
             entity = f"client:{cid}"
-            gen = self._rng(round_index, "client_churn", entity)
-            u = gen.random()
-            if cid in self.active:
-                if plan.depart > 0.0 and u < plan.depart:
-                    self.active.discard(cid)
-                    self._emit(round_index, "left", entity,
-                               edge=self.home.get(cid))
-                    self.obs.count("membership_left_total")
-            elif plan.arrive > 0.0 and u < plan.arrive:
-                self.active.add(cid)
+            eid = self.home.get(cid)
+            if mask[idx]:
+                mask[idx] = False
+                self.active.discard(cid)
+                self._emit(round_index, "left", entity, edge=eid)
+                self.obs.count("membership_left_total")
+            else:
                 # A returning client whose home crashed meanwhile is adopted
-                # immediately (when re-homing is on and a survivor exists).
-                eid = self.home.get(cid)
+                # immediately (when re-homing is on and a survivor exists):
+                # least active load, then lowest id.
                 if (self._rehoming and plan.rehome and eid is not None
                         and not self.edge_available(eid)):
                     survivors = [e for e in range(self._num_edges)
                                  if self.edge_available(e)]
                     if survivors:
-                        loads = {e: 0 for e in survivors}
-                        for oid in self.active:
-                            h = self.home.get(oid)
-                            if h in loads and oid != cid:
-                                loads[h] += 1
-                        eid = min(survivors,
-                                  key=lambda e: (loads[e], e))
-                        self.home[cid] = eid
+                        active = self.active
+                        eid = min(survivors, key=lambda e: (
+                            sum(c in active for c in self._members[e]), e))
+                        self._set_home(cid, eid)
+                mask[idx] = True
+                self.active.add(cid)
                 self._emit(round_index, "joined", entity, edge=eid)
                 self.obs.count("membership_joined_total")
                 # Warm join: the current model is shipped down before the
@@ -457,6 +495,10 @@ class MembershipManager:
         self.edge_up = {int(e): bool(up)
                         for e, up in state.get("edge_up", {}).items()}
         self.partitioned = {int(e) for e in state.get("partitioned", ())}
+        self._active_mask = np.isin(
+            np.asarray(self._client_ids, dtype=np.int64),
+            np.fromiter(self.active, dtype=np.int64, count=len(self.active)))
+        self._index_homes()
 
 
 def resolve_membership(churn, *, obs=None):

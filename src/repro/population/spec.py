@@ -194,7 +194,7 @@ class PopulationSpec:
                 (labels.size, self.dim))
             return X
         gen = image_generator if image_generator is not None else self.image_generator()
-        return gen.sample(labels, rng)
+        return gen.sample(labels, rng).X
 
     def class_means(self) -> np.ndarray:
         """Class prototype means of the ``synthetic`` family (C, d); pure in seed."""

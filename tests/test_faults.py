@@ -170,6 +170,25 @@ class TestFaultInjector:
         assert inj.backoff_s_total == pytest.approx(
             sum(plan.retry.backoff_s(i) for i in range(plan.retry.max_retries)))
 
+    def test_fate_stream_only_when_a_fate_is_drawn(self, monkeypatch):
+        calls = []
+        real = FaultInjector._rng
+
+        def counting(self, round_index, kind, *args):
+            calls.append(kind)
+            return real(self, round_index, kind, *args)
+
+        monkeypatch.setattr(FaultInjector, "_rng", counting)
+        quiet = FaultInjector(FaultPlan(client_dropout=0.5, seed=0))
+        payload = np.ones(4)
+        for k in range(3):
+            out = quiet.receive(k, "client_edge", f"client:{k}", payload)
+            assert out is not None and out[0] is payload
+        assert "msg" not in calls
+        lossy = FaultInjector(FaultPlan(msg_loss=0.2, seed=0))
+        lossy.receive(0, "client_edge", "client:0", payload)
+        assert calls.count("msg") == 1
+
     def test_state_dict_round_trip(self):
         inj = FaultInjector(FaultPlan(msg_corrupt=1.0, seed=0))
         inj.receive(0, "edge_cloud", "edge:3", np.ones(4))

@@ -465,3 +465,143 @@ class TestLedger:
         # the comm ledger; detection timeouts and re-syncs on the clock.
         assert r1.sim_time_s != r0.sim_time_s
         assert r0.comm.total_bytes != r1.comm.total_bytes
+
+
+# -------------------------------------------------- golden event-stream pin
+class _Recorder:
+    """Tracer stand-in that keeps every membership event verbatim."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple] = []
+
+    def event(self, name: str, **fields) -> None:
+        self.events.append((name, sorted(fields.items())))
+
+    def count(self, name: str, amount: float = 1.0) -> None:
+        """Counters derive from the events; nothing to keep."""
+
+
+class _ChargeLog:
+    """Comm-tracker stand-in recording every charge the manager makes."""
+
+    def __init__(self) -> None:
+        self.charges: list[tuple] = []
+
+    def record(self, link, direction, *, count=1, floats=0.0) -> None:
+        self.charges.append((link, direction, count, floats))
+
+
+class TestGoldenMembershipStream:
+    """A 2k-client virtual population under every membership process at once:
+    arrivals, departures, edge crashes with re-homing, link partitions and
+    start-absent thinning.  The digest covers the full event stream, every
+    comm charge, and each round's per-edge roster ids, so any change to a
+    transition draw, its order, or the re-homing rule shows up here."""
+
+    PLAN = ChurnPlan(arrive=0.1, depart=0.08, edge_mttf=8, edge_mttr=3,
+                     link_mttf=10, link_mttr=2, start_absent=0.2, seed=11)
+    ROUNDS = 30
+    GOLDEN = "f2d4f11eb75d253bda1092c370625b6ebf99902c5ad639ec9914ab1a26faf896"
+
+    @staticmethod
+    def _population():
+        from repro.population import PopulationSpec, VirtualPopulation
+
+        spec = PopulationSpec(num_edges=20, clients_per_edge=100,
+                              samples_per_client=2, test_per_edge=4, dim=4,
+                              seed=0)
+        return VirtualPopulation(spec)
+
+    def _bound(self, obs=None):
+        pop = self._population()
+        edges = pop.build_edges(batch_size=2, rng_factory=RngFactory(0))
+        mgr = MembershipManager(self.PLAN, obs=obs)
+        mgr.bind(edges)
+        return mgr
+
+    @staticmethod
+    def _rosters(mgr):
+        return [[c.client_id for c in mgr.roster(e)]
+                for e in range(mgr._num_edges)]
+
+    def _stream(self):
+        import hashlib
+
+        rec, log = _Recorder(), _ChargeLog()
+        mgr = self._bound(obs=rec)
+        h = hashlib.sha256()
+        rosters = []
+        for k in range(self.ROUNDS):
+            mgr.begin_round(k, tracker=log, dim=7)
+            rosters.append(self._rosters(mgr))
+            h.update(repr(rosters[-1]).encode())
+        h.update(repr(rec.events).encode())
+        h.update(repr(log.charges).encode())
+        return h.hexdigest(), rec.events, rosters
+
+    def test_digest_matches_golden(self):
+        digest, events, _ = self._stream()
+        actions = {dict(fields)["action"] for _, fields in events}
+        # The scenario exercises every transition kind.
+        assert {"joined", "left", "re-homed", "edge_crash", "edge_recover",
+                "partition", "heal", "reconcile"} <= actions
+        assert digest == self.GOLDEN
+
+    def test_rosters_ascending(self):
+        _, _, rosters = self._stream()
+        assert all(ids == sorted(ids) for rnd in rosters for ids in rnd)
+        # Crashed edges have handed every client over.
+        mgr = self._bound()
+        for k in range(self.ROUNDS):
+            mgr.begin_round(k)
+            for e, up in mgr.edge_up.items():
+                if not up:
+                    assert mgr.roster(e) == []
+
+    def test_resume_mid_crash_rebuilds_member_index(self):
+        import json
+
+        _, _, rosters = self._stream()
+        probe = self._bound()
+        cut = None
+        for k in range(self.ROUNDS):
+            probe.begin_round(k)
+            if k >= 10 and not all(probe.edge_up.values()):
+                cut = k + 1
+                break
+        assert cut is not None, "scenario must crash an edge mid-run"
+        state = json.loads(json.dumps(probe.state_dict()))
+        resumed = self._bound()
+        resumed.load_state_dict(state)
+        assert resumed.state_dict() == probe.state_dict()
+        assert self._rosters(resumed) == rosters[cut - 1]
+        for k in range(cut, self.ROUNDS):
+            resumed.begin_round(k)
+            assert self._rosters(resumed) == rosters[k]
+
+
+class TestArrivalAdoption:
+    def test_returning_client_adopted_by_least_active_survivor(self):
+        fed = make_blob_fed(num_edges=3, clients_per_edge=2)
+        edges = make_edges(fed)
+        rec = _Recorder()
+        mgr = MembershipManager(ChurnPlan(arrive=1.0, seed=0), obs=rec)
+        mgr.bind(edges)
+        home = dict(mgr.home)
+        first, last = min(home), max(home)
+        # ``first`` is away and its home's link is cut; ``last`` is away too,
+        # which leaves its edge the least active survivor.
+        state = mgr.state_dict()
+        state["active"] = [c for c in state["active"] if c not in (first, last)]
+        state["partitioned"] = [home[first]]
+        mgr.load_state_dict(state)
+        mgr.begin_round(0)
+        assert mgr.home[first] == home[last] != home[first]
+        assert mgr.home[last] == home[last]
+        assert first in mgr.active and last in mgr.active
+        joined = [dict(f) for _, f in rec.events
+                  if dict(f)["action"] == "joined"]
+        assert [(j["entity"], j["edge"]) for j in joined] == [
+            (f"client:{first}", home[last]), (f"client:{last}", home[last])]
+        assert [c.client_id for c in mgr.roster(home[last])] == sorted(
+            [first] + [c for c, e in home.items() if e == home[last]])

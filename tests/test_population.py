@@ -75,6 +75,27 @@ class TestPopulationSpec:
             "edges=2,clients=4,family=mnist_like,side=8")
         assert sided.input_dim == 64
 
+    def test_image_family_materializes_arrays(self):
+        spec = PopulationSpec.parse(
+            "edges=2,clients=4,samples=3,test=5,family=mnist_like,side=8")
+        shard = spec.client_shard(1)
+        test = spec.edge_test(0)
+        assert shard.X.shape == (3, 64) and shard.X.dtype == np.float64
+        assert test.X.shape == (5, 64) and test.X.dtype == np.float64
+        assert shard.y.shape == (3,) and test.y.shape == (5,)
+        np.testing.assert_array_equal(shard.X, spec.client_shard(1).X)
+
+    def test_image_family_trains(self):
+        spec = PopulationSpec.parse(
+            "edges=2,clients=4,samples=3,test=5,family=mnist_like,side=8")
+        factory = make_model_factory("logistic", spec.input_dim,
+                                     spec.num_classes)
+        res = HierMinimax(spec, factory, batch_size=2, eta_w=0.1, eta_p=0.05,
+                          tau1=1, tau2=1, m_edges=2, seed=0).run(
+                              rounds=2, eval_every=1)
+        assert len(res.history.points) == 3
+        assert np.all(np.isfinite(res.final_params))
+
     def test_one_class_partition_labels(self):
         # Edge e's shards only carry classes from edge_classes(e), matching
         # the eager one-class-per-edge partition law.

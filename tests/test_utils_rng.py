@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.utils.rng import RngFactory, as_generator, spawn_generators, stable_key
+from repro.utils.rng import (RngFactory, as_generator, first_uniforms,
+                             spawn_generators, stable_key)
 
 
 class TestStableKey:
@@ -110,3 +113,47 @@ class TestRngFactory:
 
     def test_seed_property(self):
         assert RngFactory(seed=77).seed == 77
+
+
+def _scalar_first_uniforms(entropy, prefix, keys) -> np.ndarray:
+    return np.array([
+        np.random.default_rng(np.random.SeedSequence(
+            entropy, spawn_key=(*prefix, int(k)))).random()
+        for k in keys], dtype=np.float64)
+
+
+#: Entropy across SeedSequence's word-count regimes: zero, one word, more
+#: than two words, and more than the 4-word pool.
+_ENTROPY = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                     st.integers(2**64, 2**96), st.integers(2**128, 2**160))
+_WORD = st.one_of(st.just(0), st.integers(1, 2**32 - 1),
+                  st.integers(2**32, 2**64 - 1))
+_KEY = st.one_of(_WORD, st.just(2**64 - 1))
+
+
+class TestFirstUniforms:
+    @settings(max_examples=60, deadline=None)
+    @given(entropy=_ENTROPY, prefix=st.lists(_WORD, max_size=3),
+           keys=st.lists(_KEY, max_size=12))
+    def test_matches_scalar_streams(self, entropy, prefix, keys):
+        got = first_uniforms(entropy, tuple(prefix),
+                             np.array(keys, dtype=np.uint64))
+        assert got.dtype == np.float64 and got.shape == (len(keys),)
+        assert np.array_equal(got, _scalar_first_uniforms(entropy, prefix, keys))
+
+    def test_named_stream_keys(self):
+        keys = [stable_key(f"client:{i}") for i in range(300)] + [0, 2**64 - 1]
+        prefix = (stable_key("membership:client_churn"), 17)
+        np.testing.assert_array_equal(
+            first_uniforms(5, prefix, keys),
+            _scalar_first_uniforms(5, prefix, keys))
+
+    def test_empty_keys(self):
+        out = first_uniforms(3, (1, 2), np.array([], dtype=np.uint64))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_rejects_negative_seed_material(self):
+        with pytest.raises(ValueError):
+            first_uniforms(-1, (), [0])
+        with pytest.raises(ValueError):
+            first_uniforms(0, (-2,), [0])
