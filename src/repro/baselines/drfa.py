@@ -16,11 +16,11 @@ import numpy as np
 
 from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
-from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection, project_simplex
 from repro.sim.cloud import CloudServer
+from repro.sim.round_ops import aggregate, ascend_weights, client_loss, \
+    train_clients
 from repro.topology.sampling import sample_by_weight, sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_float, check_positive_int
 
@@ -72,7 +72,6 @@ class DRFA(FederatedAlgorithm):
             n, weight_projection=projection_q if projection_q is not None
             else project_simplex)
         self.q: np.ndarray = self.cloud.initial_weights()
-        self._last_losses: dict[int, float] = {}
 
     @property
     def slots_per_round(self) -> int:
@@ -85,184 +84,46 @@ class DRFA(FederatedAlgorithm):
 
     # ---------------------------------------------------------- checkpointing
     def _extra_state(self) -> dict:
-        return {"q": self.q,
-                "last_losses": {str(k): v
-                                for k, v in self._last_losses.items()}}
+        return {"q": self.q, **super()._extra_state()}
 
     def _restore_extra(self, extra: dict) -> None:
+        super()._restore_extra(extra)
         self.q = np.asarray(extra["q"], dtype=np.float64)
-        self._last_losses = {int(k): float(v)
-                             for k, v in extra.get("last_losses", {}).items()}
 
     def run_round(self, round_index: int) -> None:
         """One DRFA round: τ1 local steps with a random checkpoint, then q ascent."""
+        ctx = self._context(round_index)
         d = self.w.size
-        obs = self.obs
-        faults = self.faults
-        injecting = faults.enabled
         sampled = sample_by_weight(self.q, self.m_clients, self.rng)
         # Checkpoint step t' uniform in {1, ..., tau1}.
         t_prime = int(self.rng.integers(1, self.tau1 + 1))
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_clients=len(sampled), t_prime=t_prime):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_clients=len(sampled), t_prime=t_prime):
             self.tracker.record("client_cloud", "down",
                                 count=len(np.unique(sampled)), floats=d + 1)
-            acc = np.zeros(d)
-            acc_ckpt = np.zeros(d)
-            n_contrib = 0
-            n_ckpt = 0
-            cloud_agg = self._cloud_agg
-            entries: list[tuple[str, float, np.ndarray]] = []
-            ckpt_entries: list[tuple[str, float, np.ndarray]] = []
             # Sampling is with replacement: the same client may appear twice;
             # the dispatcher chains duplicate occurrences so its minibatch
-            # stream advances exactly as this loop used to advance it.
-            work: list[ClientWork] = []
-            membership = self.membership
-            for i in sampled:
-                client = self.clients[int(i)]
-                if membership.enabled and not membership.client_active(
-                        client.client_id):
-                    continue
-                steps = self.tau1 if not injecting else faults.client_steps(
-                    round_index, client.client_id, self.tau1)
-                if steps < 1:
-                    continue
-                work.append(ClientWork(
-                    client, steps,
-                    t_prime if t_prime <= steps else None))
-            results = run_local_steps(
-                self.backend, self.engine, self.w, work, lr=self.eta_w,
-                projection=self.projection_w, obs=obs) if work else []
-            timing = self.timing
-            if timing.enabled:
-                # Sampled clients run concurrently; the checkpoint snapshot
-                # rides along with the round-final upload.
-                with timing.parallel():
-                    for item in work:
-                        cid = item.client.client_id
-                        scale = (faults.plan.straggler_slowdown
-                                 if injecting and item.steps < self.tau1
-                                 else 1.0)
-                        with timing.branch():
-                            timing.transfer("client_cloud", cid, d + 1)
-                            timing.compute(cid, item.steps, scale=scale)
-                            timing.transfer(
-                                "client_cloud", cid,
-                                (2 if item.checkpoint_after is not None
-                                 else 1) * d)
-            for item, result in zip(work, results):
-                client = item.client
-                takes_ckpt = item.checkpoint_after is not None
-                w_end, w_ckpt = result.w_end, result.w_checkpoint
-                self.tracker.record("client_cloud", "up", count=1,
-                                    floats=(2 if takes_ckpt else 1) * d)
-                if injecting:
-                    delivered = faults.receive(
-                        round_index, "client_cloud",
-                        f"client:{client.client_id}", w_end, w_ckpt,
-                        floats=(2 if takes_ckpt else 1) * d,
-                        tracker=self.tracker, ref=self.w)
-                    if delivered is None:
-                        continue
-                    w_end, w_ckpt = delivered
-                if cloud_agg is not None:
-                    entries.append((f"client:{client.client_id}", 1.0, w_end))
-                    if w_ckpt is not None:
-                        ckpt_entries.append(
-                            (f"client:{client.client_id}", 1.0, w_ckpt))
-                    continue
-                acc += w_end
-                n_contrib += 1
-                if w_ckpt is not None:
-                    acc_ckpt += w_ckpt
-                    n_ckpt += 1
+            # stream advances exactly as a serial loop would advance it.  The
+            # checkpoint snapshot rides along with the round-final upload.
+            uploads = train_clients(ctx, [self.clients[int(i)] for i in sampled],
+                                    self.w, steps=self.tau1,
+                                    link="client_cloud",
+                                    checkpoint_after=t_prime,
+                                    down_floats=d + 1)
             self.tracker.sync_cycle("client_cloud")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the sampled-client mean for both
-                # the round model and the random-checkpoint model.
-                w_ref = self.w
-                combined = robust_combine(cloud_agg, entries, ref=w_ref,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="client_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                ckpt_combined = robust_combine(cloud_agg, ckpt_entries,
-                                               ref=w_ref, faults=faults,
-                                               round_index=round_index,
-                                               link="client_cloud")
-                if ckpt_combined is not None:
-                    w_checkpoint = ckpt_combined
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                    w_checkpoint = self.w
-            else:
-                if n_contrib == len(sampled):
-                    self.w = acc / self.m_clients
-                elif n_contrib > 0:
-                    self.w = acc / n_contrib
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                if n_ckpt == len(sampled):
-                    w_checkpoint = acc_ckpt / self.m_clients
-                elif n_ckpt > 0:
-                    w_checkpoint = acc_ckpt / n_ckpt
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                    w_checkpoint = self.w
+            self.w, w_checkpoint = aggregate(
+                ctx, uploads, self.w, link="client_cloud",
+                what="phase1_model_update", rule=self._cloud_agg,
+                checkpoint=True)
 
         # Weight ascent phase at the checkpoint model, scaled by tau1.
-        with obs.span("phase2_weight_update", round=round_index):
+        with self.obs.span("phase2_weight_update", round=round_index):
             probed = sample_uniform_subset(len(self.clients), self.m_clients,
                                            self.rng)
-            self.tracker.record("client_cloud", "down", count=len(probed),
-                                floats=d)
-            losses: dict[int, float] = {}
-            timing = self.timing
-            with timing.parallel():
-                for i in probed:
-                    cid = int(i)
-                    client = self.clients[cid]
-                    est: float | None = None
-                    with timing.branch():
-                        if (membership.client_active(cid)
-                                and (not injecting
-                                     or faults.client_available(round_index,
-                                                                cid))):
-                            if timing.enabled:
-                                timing.transfer("client_cloud", cid, d)
-                                timing.probe(cid)
-                                timing.transfer("client_cloud", cid, 1)
-                            est = client.estimate_loss(self.engine,
-                                                       w_checkpoint)
-                            self.tracker.record("client_cloud", "up", count=1,
-                                                floats=1)
-                            if injecting:
-                                delivered = faults.receive(
-                                    round_index, "client_cloud",
-                                    f"client:{cid}", est,
-                                    floats=1.0, tracker=self.tracker)
-                                est = None if delivered is None else delivered[0]
-                    if est is None:
-                        stale = self._last_losses.get(cid)
-                        if stale is not None:
-                            faults.stale_loss(round_index, f"client:{cid}",
-                                              stale)
-                            losses[cid] = stale
-                        continue
-                    losses[cid] = est
-            self.tracker.sync_cycle("client_cloud")
-            losses = self._clip_losses(round_index, losses, "client")
-            if losses:
-                self._last_losses.update(losses)
-                obs.gauge("worst_client_loss", max(losses.values()))
-                v = self.cloud.build_loss_vector(losses)
-                self.q = self.cloud.update_weights(self.q, v, eta_p=self.eta_q,
-                                                   tau1=self.tau1)
-            else:
-                faults.degraded_round(round_index, "phase2_weight_update")
+            self.q = ascend_weights(
+                ctx, self.cloud, self.q, probed,
+                lambda cid: client_loss(ctx, self.clients[cid], w_checkpoint,
+                                        link="client_cloud"),
+                link="client_cloud", prefix="client", down_floats=d,
+                stale=self._last_losses, loss_clip=self._loss_clip,
+                eta=self.eta_q, tau1=self.tau1, gauge="worst_client_loss")

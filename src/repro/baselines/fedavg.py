@@ -9,14 +9,11 @@ fairness-blind control of the paper's figures.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
-from repro.exec import ClientWork, run_local_steps
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection
+from repro.sim.round_ops import aggregate, train_clients
 from repro.topology.sampling import sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -70,79 +67,19 @@ class FedAvg(FederatedAlgorithm):
 
     def run_round(self, round_index: int) -> None:
         """One FedAvg round: uniform sample, τ1 local steps, weighted average."""
-        d = self.w.size
-        obs = self.obs
-        faults = self.faults
-        injecting = faults.enabled
+        ctx = self._context(round_index)
         sampled = sample_uniform_subset(len(self.clients), self.m_clients, self.rng)
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_clients=len(sampled)):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_clients=len(sampled)):
             self.tracker.record("client_cloud", "down", count=len(sampled),
-                                floats=d)
-            acc = np.zeros(d)
-            total_weight = 0.0
-            cloud_agg = self._cloud_agg
-            entries: list[tuple[str, float, np.ndarray]] = []
-            work: list[ClientWork] = []
-            membership = self.membership
-            for i in sampled:
-                client = self.clients[int(i)]
-                if membership.enabled and not membership.client_active(
-                        client.client_id):
-                    continue
-                steps = self.tau1 if not injecting else faults.client_steps(
-                    round_index, client.client_id, self.tau1)
-                if steps < 1:
-                    continue
-                work.append(ClientWork(client, steps))
-            results = run_local_steps(
-                self.backend, self.engine, self.w, work, lr=self.eta_w,
-                projection=self.projection_w, obs=obs) if work else []
-            timing = self.timing
-            if timing.enabled:
-                # Sampled clients work concurrently on the flat client-cloud
-                # link; the round costs the slowest (down + steps + up) chain.
-                with timing.parallel():
-                    for item in work:
-                        cid = item.client.client_id
-                        scale = (faults.plan.straggler_slowdown
-                                 if injecting and item.steps < self.tau1
-                                 else 1.0)
-                        with timing.branch():
-                            timing.transfer("client_cloud", cid, d)
-                            timing.compute(cid, item.steps, scale=scale)
-                            timing.transfer("client_cloud", cid, d)
-            for item, result in zip(work, results):
-                client, w_end = item.client, result.w_end
-                self.tracker.record("client_cloud", "up", count=1, floats=d)
-                if injecting:
-                    delivered = faults.receive(
-                        round_index, "client_cloud",
-                        f"client:{client.client_id}", w_end, floats=d,
-                        tracker=self.tracker, ref=self.w)
-                    if delivered is None:
-                        continue
-                    (w_end,) = delivered
-                weight = float(client.num_samples) if self.weight_by_data else 1.0
-                if cloud_agg is not None:
-                    entries.append((f"client:{client.client_id}", weight, w_end))
-                    continue
-                acc += weight * w_end
-                total_weight += weight
+                                floats=self.w.size)
+            clients = [self.clients[int(i)] for i in sampled]
+            uploads = train_clients(
+                ctx, clients, self.w, steps=self.tau1, link="client_cloud",
+                weights=[float(c.num_samples) if self.weight_by_data else 1.0
+                         for c in clients])
             self.tracker.sync_cycle("client_cloud")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the weighted client mean.
-                combined = robust_combine(cloud_agg, entries, ref=self.w,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="client_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "model_update")
-            elif total_weight > 0.0:
-                # Survivor-weighted average: dropped clients simply leave the
-                # denominator, which is the weighted-mean renormalization.
-                self.w = acc / total_weight
-            else:
-                faults.degraded_round(round_index, "model_update")
+            # Survivor-weighted average: dropped clients simply leave the
+            # denominator, which is the weighted-mean renormalization.
+            self.w, _ = aggregate(ctx, uploads, self.w, link="client_cloud",
+                                  what="model_update", rule=self._cloud_agg)

@@ -9,13 +9,11 @@ from the value of the hierarchy in the paper's comparisons (Figs. 3–4, Table 2
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
+from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection
+from repro.sim.round_ops import aggregate, fan_out
 from repro.topology.sampling import sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_int
 
@@ -71,76 +69,24 @@ class HierFAVG(FederatedAlgorithm):
 
     def run_round(self, round_index: int) -> None:
         """One HierFAVG round: uniform edge sample, hierarchical update, average."""
+        ctx = self._context(round_index)
         d = self.w.size
-        obs = self.obs
-        faults = self.faults
-        injecting = faults.enabled
         sampled = sample_uniform_subset(self.dataset.num_edges, self.m_edges, self.rng)
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_edges=len(sampled)):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_edges=len(sampled)):
             self.tracker.record("edge_cloud", "down", count=len(sampled),
                                 floats=d)
-            acc = np.zeros(d)
-            total_weight = 0.0
-            cloud_agg = self._cloud_agg
-            entries: list[tuple[str, float, np.ndarray]] = []
-            timing = self.timing
             # Sampled edges work concurrently: the round's simulated duration
             # is the slowest edge's (broadcast + blocks + upload) chain.
-            with timing.parallel():
-                for e in sampled:
-                    edge = self.edges[int(e)]
-                    with timing.branch():
-                        if injecting and faults.edge_dark(round_index,
-                                                          edge.edge_id):
-                            continue
-                        roster = self._edge_roster(edge.edge_id)
-                        if roster is EDGE_UNAVAILABLE:
-                            continue
-                        if timing.enabled:
-                            timing.transfer("edge_cloud", edge.edge_id, d)
-                        w_e, _ = edge.model_update(
-                            self.engine, self.w, tau1=self.tau1, tau2=self.tau2,
-                            lr=self.eta_w, projection=self.projection_w,
-                            checkpoint=None,
-                            tracker=self.tracker,
-                            weight_by_data=self.weight_by_data,
-                            obs=obs, faults=faults, round_index=round_index,
-                            backend=self.backend, defense=self._edge_agg,
-                            timing=timing, roster=roster)
-                        self.tracker.record("edge_cloud", "up", count=1,
-                                            floats=d)
-                        if timing.enabled:
-                            timing.transfer("edge_cloud", edge.edge_id, d)
-                        if injecting:
-                            delivered = faults.receive(
-                                round_index, "edge_cloud",
-                                f"edge:{edge.edge_id}", w_e,
-                                floats=d, tracker=self.tracker, ref=self.w)
-                            if delivered is None:
-                                continue
-                            (w_e,) = delivered
-                        weight = (float(edge.num_samples)
-                                  if self.weight_by_data else 1.0)
-                        if cloud_agg is not None:
-                            entries.append((f"edge:{edge.edge_id}", weight,
-                                            w_e))
-                            continue
-                        acc += weight * w_e
-                        total_weight += weight
+            uploads = fan_out(
+                ctx, sampled,
+                lambda eid: self._edge_leg(ctx, eid, down_floats=d,
+                                           up_floats=d,
+                                           weight_by_data=self.weight_by_data),
+                prefix="edge", label="phase1",
+                weight=((lambda eid: float(self.edges[eid].num_samples))
+                        if self.weight_by_data else None))
             self.tracker.sync_cycle("edge_cloud")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the weighted edge mean.
-                combined = robust_combine(cloud_agg, entries, ref=self.w,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="edge_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "model_update")
-            elif total_weight > 0.0:
-                # Survivor-weighted average (dark edges leave the denominator).
-                self.w = acc / total_weight
-            else:
-                faults.degraded_round(round_index, "model_update")
+            # Survivor-weighted average (dark edges leave the denominator).
+            self.w, _ = aggregate(ctx, uploads, self.w, link="edge_cloud",
+                                  what="model_update", rule=self._cloud_agg)

@@ -72,6 +72,17 @@ class TopKSparsifier:
         """Drop all accumulated residuals (between runs)."""
         self._residuals.clear()
 
+    def state_dict(self) -> dict:
+        """The per-sender residuals, for checkpoint/resume."""
+        return {"residuals": {str(sender): residual
+                              for sender, residual in self._residuals.items()}}
+
+    def load_state_dict(self, state: dict) -> None:
+        """Restore :meth:`state_dict` output; an empty dict clears residuals."""
+        self._residuals = {
+            int(sender): np.asarray(residual, dtype=np.float64)
+            for sender, residual in state.get("residuals", {}).items()}
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TopKSparsifier(fraction={self.fraction}, "
                 f"error_feedback={self.error_feedback})")

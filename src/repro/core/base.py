@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import clip_loss_reports, resolve_defense
+from repro.defense.policy import resolve_defense
 from repro.faults.checkpoint import CheckpointError, load_checkpoint_file, \
     previous_checkpoint_path, save_checkpoint_file
 from repro.faults.injector import resolve_injector
@@ -33,6 +33,7 @@ from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.population import resolve_population
 from repro.population.store import ShardIntegrityError
+from repro.sim.round_ops import RoundContext, relay
 from repro.simtime import resolve_timing
 from repro.topology.comm import CommSnapshot, CommunicationTracker
 from repro.exec import ExecutionBackend, resolve_backend
@@ -46,11 +47,6 @@ __all__ = ["FederatedAlgorithm", "RunResult", "EDGE_UNAVAILABLE"]
 #: membership layer has taken an edge out of service for the round (crashed,
 #: partitioned, or left without a single active client).
 EDGE_UNAVAILABLE = object()
-
-
-# Retained name: the canonical implementation now lives in repro.utils.rng
-# (it also accepts generator_token snapshots); old importers keep working.
-_restore_generator = restore_generator
 
 
 @dataclass(frozen=True)
@@ -201,8 +197,8 @@ class FederatedAlgorithm(ABC):
         self.obs = obs if obs is not None else NULL_TRACER
         self.faults = resolve_injector(faults, obs=self.obs)
         self.defense = resolve_defense(defense)
-        # Pre-resolved per-tier hooks: None means "take the original inline
-        # aggregation path" — both for no defense and for the reference mean.
+        # Pre-resolved per-tier hooks: None means "the plain weighted mean" —
+        # both for no defense and for the reference mean.
         self._edge_agg = (None if self.defense is None
                           else self.defense.tier("edge"))
         self._cloud_agg = (None if self.defense is None
@@ -218,6 +214,9 @@ class FederatedAlgorithm(ABC):
             churn = self.faults.plan.churn
         self.membership = resolve_membership(churn, obs=self.obs)
         self.w: np.ndarray = self.engine.get_params()
+        # Minimax algorithms: the last loss the cloud saw per weighted entity,
+        # Phase 2's stale fallback when one is dark or its reply is lost.
+        self._last_losses: dict[int, float] = {}
         self.rounds_completed = 0
         self._history: TrainingHistory | None = None
         self._resume_history: TrainingHistory | None = None
@@ -437,11 +436,19 @@ class FederatedAlgorithm(ABC):
         return list(getattr(self, "clients", []))
 
     def _extra_state(self) -> dict:
-        """Subclass hook: algorithm-specific checkpoint state (``p``, aux RNGs)."""
-        return {}
+        """Subclass hook: algorithm-specific checkpoint state (``p``, aux RNGs).
+
+        Minimax algorithms also carry Phase 2's stale-loss memory.
+        """
+        if not self.is_minimax:
+            return {}
+        return {"last_losses": {str(k): v
+                                for k, v in self._last_losses.items()}}
 
     def _restore_extra(self, extra: dict) -> None:
         """Subclass hook: inverse of :meth:`_extra_state`."""
+        self._last_losses = {int(k): float(v)
+                             for k, v in extra.get("last_losses", {}).items()}
 
     def state_dict(self, *, shard_dir=None) -> dict:
         """Everything needed to resume this run bit-identically.
@@ -546,7 +553,7 @@ class FederatedAlgorithm(ABC):
         """Apply a verified checkpoint payload to this algorithm instance."""
         self.w = np.asarray(state["w"], dtype=np.float64)
         self.rounds_completed = int(state["round"])
-        _restore_generator(self.rng, state["rng"])
+        restore_generator(self.rng, state["rng"])
         if self.population.virtual:
             # Per-client state lives in the sharded store; clients re-derive
             # from it lazily the next time the cohort samples them.
@@ -564,7 +571,7 @@ class FederatedAlgorithm(ABC):
                         f"checkpoint has no state for client {client.client_id}; "
                         f"was it written with a different dataset?") from exc
                 sampler = client.sampler
-                _restore_generator(sampler._rng, cs["rng"])
+                restore_generator(sampler._rng, cs["rng"])
                 sampler._order = np.asarray(cs["order"], dtype=np.int64)
                 sampler._cursor = int(cs["cursor"])
                 sampler.batches_drawn = int(cs["batches_drawn"])
@@ -603,6 +610,44 @@ class FederatedAlgorithm(ABC):
         return self.population.build_flat_clients(batch_size=self.batch_size,
                                                   rng_factory=self.rng_factory)
 
+    def _context(self, round_index: int) -> RoundContext:
+        """The shared round primitives' view of this run at ``round_index``."""
+        return RoundContext(round_index, self.engine, lr=self.eta_w,
+                            projection=self.projection_w,
+                            backend=self.backend, obs=self.obs,
+                            faults=self.faults, timing=self.timing,
+                            tracker=self.tracker, membership=self.membership)
+
+    def _edge_leg(self, ctx: RoundContext, eid: int, *, down_floats: float,
+                  up_floats: float, checkpoint: tuple[int, int] | None = None,
+                  weight_by_data: bool = False, compressor=None,
+                  comp_rng: np.random.Generator | None = None):
+        """One sampled edge's Phase-1 leg: broadcast, ModelUpdate, upload.
+
+        Returns the delivered ``(w_e, w_e_ckpt)`` pair, or ``None`` when the
+        edge is dark, out of service, or its upload was lost in transit.  The
+        broadcast, the edge's blocks and the upload are charged to the
+        innermost open timing scope: a ``branch()`` in the synchronous round,
+        a ``measure()`` in the semi-asynchronous one.
+        """
+        if ctx.injecting and self.faults.edge_dark(ctx.round_index, eid):
+            return None
+        roster = self._edge_roster(eid)
+        if roster is EDGE_UNAVAILABLE:
+            return None
+        return relay(
+            ctx, "edge_cloud", eid, f"edge:{eid}", self.w,
+            lambda: self.edges[eid].model_update(
+                self.engine, self.w, tau1=self.tau1, tau2=self.tau2,
+                lr=self.eta_w, projection=self.projection_w,
+                checkpoint=checkpoint, tracker=self.tracker,
+                weight_by_data=weight_by_data, compressor=compressor,
+                comp_rng=comp_rng, obs=self.obs, faults=self.faults,
+                round_index=ctx.round_index, backend=self.backend,
+                defense=self._edge_agg, timing=self.timing, roster=roster),
+            down_floats=down_floats, up_floats=up_floats,
+            compressor=compressor, comp_rng=comp_rng)
+
     def _edge_roster(self, edge_id: int):
         """The edge's membership-adjusted roster for this round.
 
@@ -621,23 +666,6 @@ class FederatedAlgorithm(ABC):
         if roster is not None and not roster:
             return EDGE_UNAVAILABLE
         return roster
-
-    def _clip_losses(self, round_index: int, losses: dict,
-                     entity_prefix: str) -> dict:
-        """Score-damped minimax weight update: cap reports at the policy's
-        ``loss_clip ×`` the round's median, flagging the capped senders.
-
-        A no-op (returning ``losses`` unchanged, the same dict) without an
-        active ``loss_clip`` — the healthy path stays bit-identical.
-        """
-        if self._loss_clip is None or not losses:
-            return losses
-        clipped, ids, cap = clip_loss_reports(losses, self._loss_clip)
-        for eid in ids:
-            self.faults.suspect(round_index, f"{entity_prefix}:{eid}",
-                                action="loss_clipped", aggregator="loss_clip",
-                                cap=round(cap, 6))
-        return clipped
 
     def _evaluation_point(self, round_index: int) -> HistoryPoint:
         # eval_edge_ids is None unless an evaluation cohort was requested

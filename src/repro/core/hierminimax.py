@@ -29,18 +29,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm, \
-    _restore_generator
+from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import robust_combine
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection, project_simplex
 from repro.sim.cloud import CloudServer
+from repro.sim.round_ops import RoundContext, Upload, aggregate, \
+    ascend_weights, fan_out
 from repro.topology.sampling import (
     sample_by_weight,
     sample_checkpoint_slot,
     sample_uniform_subset,
 )
+from repro.utils.rng import restore_generator
 from repro.utils.validation import check_fraction, check_positive_float, check_positive_int
 
 __all__ = ["HierMinimax"]
@@ -117,9 +118,6 @@ class HierMinimax(FederatedAlgorithm):
         self.compressor = compressor
         self._comp_rng = self.rng_factory.stream("compression")
         self._dim = self.w.size
-        # Last loss estimate seen per edge — Phase 2's stale fallback when an
-        # edge is dark or its probe reply is lost.
-        self._last_losses: dict[int, float] = {}
 
     @property
     def slots_per_round(self) -> int:
@@ -132,238 +130,93 @@ class HierMinimax(FederatedAlgorithm):
 
     # ---------------------------------------------------------- checkpointing
     def _extra_state(self) -> dict:
-        return {"p": self.p, "comp_rng": self._comp_rng,
-                "last_losses": {str(k): v
-                                for k, v in self._last_losses.items()}}
+        state = {"p": self.p, "comp_rng": self._comp_rng,
+                 **super()._extra_state()}
+        if hasattr(self.compressor, "state_dict"):
+            # Error-feedback residuals are carried from round to round.
+            state["compressor"] = self.compressor.state_dict()
+        return state
 
     def _restore_extra(self, extra: dict) -> None:
+        super()._restore_extra(extra)
         self.p = np.asarray(extra["p"], dtype=np.float64)
-        _restore_generator(self._comp_rng, extra["comp_rng"])
-        self._last_losses = {int(k): float(v)
-                             for k, v in extra.get("last_losses", {}).items()}
+        restore_generator(self._comp_rng, extra["comp_rng"])
+        if hasattr(self.compressor, "load_state_dict"):
+            self.compressor.load_state_dict(extra.get("compressor", {}))
 
     # ---------------------------------------------------------- phase-1 pieces
-    def _edge_upload(self, round_index: int, eid: int,
-                     checkpoint: tuple[int, int] | None,
-                     upload_floats: float,
-                     ) -> tuple[np.ndarray, np.ndarray | None] | None:
-        """One sampled edge's Phase-1 leg: broadcast, ModelUpdate, upload.
-
-        Returns the delivered ``(w_e, w_e_ckpt)`` pair, or ``None`` when the
-        edge is dark or its upload was lost in transit.  Consumes the
-        compression stream, tracker records, and fault draws in exactly the
-        order the inline loop did, so extracting it changes no bit.  When a
-        virtual clock is active the broadcast/compute/upload durations are
-        charged to the innermost open timing scope — the synchronous round
-        wraps each call in a ``branch()``; the semi-async variant wraps it in
-        ``measure()`` to price the leg without blocking the round.
-        """
-        faults = self.faults
-        timing = self.timing
-        d = self._dim
-        if faults.enabled and faults.edge_dark(round_index, eid):
-            return None
-        roster = self._edge_roster(eid)
-        if roster is EDGE_UNAVAILABLE:
-            return None
-        if timing.enabled:
-            # Cloud -> edge: w^(k) plus the (c1, c2) checkpoint slot.
-            timing.transfer("edge_cloud", eid, d + 2)
-        w_e, w_e_ckpt = self.edges[eid].model_update(
-            self.engine, self.w, tau1=self.tau1, tau2=self.tau2,
-            lr=self.eta_w, projection=self.projection_w,
-            checkpoint=checkpoint, tracker=self.tracker,
-            compressor=self.compressor, comp_rng=self._comp_rng,
-            obs=self.obs, faults=faults, round_index=round_index,
-            backend=self.backend, defense=self._edge_agg,
-            timing=timing, roster=roster)
-        if self.compressor is not None:
-            # Edge transmits compressed deltas against the broadcast w^(k).
-            w_e = self.w + self.compressor.compress(w_e - self.w,
-                                                    self._comp_rng)
-            if w_e_ckpt is not None:
-                w_e_ckpt = self.w + self.compressor.compress(
-                    w_e_ckpt - self.w, self._comp_rng)
-        # Edge uploads its round-final model (and its checkpoint model).
-        self.tracker.record("edge_cloud", "up", count=1,
-                            floats=upload_floats)
-        if timing.enabled:
-            timing.transfer("edge_cloud", eid, upload_floats)
-        if faults.enabled:
-            delivered = faults.receive(
-                round_index, "edge_cloud", f"edge:{eid}", w_e, w_e_ckpt,
-                floats=upload_floats, tracker=self.tracker, ref=self.w)
-            if delivered is None:
-                return None
-            w_e, w_e_ckpt = delivered
-        return w_e, w_e_ckpt
-
-    def _upload_floats(self) -> float:
-        """Edge→cloud payload per Phase-1 upload (model + optional checkpoint)."""
+    def _edge_upload(self, ctx: RoundContext, eid: int,
+                     checkpoint: tuple[int, int] | None):
+        """One sampled edge's Phase-1 leg (see :meth:`_edge_leg`): the cloud
+        broadcasts ``w^(k)`` plus the ``(c1, c2)`` slot; uploads are the
+        round-final model and, with the checkpoint, its snapshot."""
         unit_floats = (float(self._dim) if self.compressor is None
                        else self.compressor.payload_floats(self._dim))
-        return (2 if self.use_checkpoint else 1) * unit_floats
+        return self._edge_leg(
+            ctx, eid, down_floats=self._dim + 2,
+            up_floats=(2 if self.use_checkpoint else 1) * unit_floats,
+            checkpoint=checkpoint, compressor=self.compressor,
+            comp_rng=self._comp_rng)
+
+    def _aggregate_phase1(self, ctx: RoundContext, uploads: list[Upload],
+                          ) -> np.ndarray:
+        """Eqs. (5)/(6): the new ``w`` and the Phase-2 probe model."""
+        self.w, w_checkpoint = aggregate(
+            ctx, uploads, self.w, link="edge_cloud",
+            what="phase1_model_update", rule=self._cloud_agg,
+            checkpoint=self.use_checkpoint)
+        return w_checkpoint
 
     # ------------------------------------------------------------------ round
     def run_round(self, round_index: int) -> None:
         """One training round: Phase 1 (model + checkpoint) then Phase 2 (weights)."""
-        d = self._dim
-        obs = self.obs
-        faults = self.faults
-        timing = self.timing
+        ctx = self._context(round_index)
         # ---- Phase 1: sample edges by p, sample the checkpoint slot.
         sampled = sample_by_weight(self.p, self.m_edges, self.rng)
         c1, c2 = sample_checkpoint_slot(self.tau1, self.tau2, self.rng)
         checkpoint = (c1, c2) if self.use_checkpoint else None
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_edges=len(sampled), c1=c1, c2=c2):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_edges=len(sampled), c1=c1, c2=c2):
             # Cloud broadcasts w^(k) and (c1, c2) to the sampled edges.
             self.tracker.record("edge_cloud", "down",
-                                count=len(np.unique(sampled)), floats=d + 2)
-            acc_w = np.zeros(d)
-            acc_ckpt = np.zeros(d) if self.use_checkpoint else None
-            upload_floats = self._upload_floats()
-            n_contrib = 0
-            n_ckpt = 0
-            cloud_agg = self._cloud_agg
-            entries: list[tuple[str, float, np.ndarray]] = []
-            ckpt_entries: list[tuple[str, float, np.ndarray]] = []
+                                count=len(np.unique(sampled)),
+                                floats=self._dim + 2)
             # Sampled edges work concurrently: the synchronous barrier means
             # Phase 1's simulated duration is the slowest edge's leg.
-            with timing.parallel("phase1"):
-                for e in sampled:
-                    eid = int(e)
-                    with timing.branch(f"edge:{eid}" if timing.record
-                                       else None):
-                        delivered = self._edge_upload(round_index, eid,
-                                                      checkpoint,
-                                                      upload_floats)
-                    if delivered is None:
-                        continue
-                    w_e, w_e_ckpt = delivered
-                    if cloud_agg is not None:
-                        entries.append((f"edge:{eid}", 1.0, w_e))
-                        if w_e_ckpt is not None:
-                            ckpt_entries.append((f"edge:{eid}", 1.0, w_e_ckpt))
-                        continue
-                    acc_w += w_e
-                    n_contrib += 1
-                    if acc_ckpt is not None and w_e_ckpt is not None:
-                        acc_ckpt += w_e_ckpt
-                        n_ckpt += 1
+            uploads = fan_out(
+                ctx, sampled,
+                lambda eid: self._edge_upload(ctx, eid, checkpoint),
+                prefix="edge", label="phase1")
             self.tracker.sync_cycle("edge_cloud")
-            w_ref = self.w
-            if cloud_agg is not None:
-                # Robust Eq. (5)/(6): the installed aggregator replaces the
-                # sampled-edge mean (suspicious uploads are down-weighted or
-                # excluded and reported via the defense ledger).
-                combined = robust_combine(cloud_agg, entries, ref=w_ref,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="edge_cloud")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                w_checkpoint = self.w
-                if self.use_checkpoint:
-                    ckpt_combined = robust_combine(
-                        cloud_agg, ckpt_entries, ref=w_ref, faults=faults,
-                        round_index=round_index, link="edge_cloud")
-                    if ckpt_combined is not None:
-                        w_checkpoint = ckpt_combined
-                    else:
-                        faults.checkpoint_fallback(round_index,
-                                                   "phase1_model_update")
-            elif n_contrib == len(sampled):
-                acc_w /= self.m_edges     # Eq. (5): global model
-                self.w = acc_w
-            elif n_contrib > 0:
-                # Degraded Eq. (5): renormalize over the surviving edges.
-                acc_w /= n_contrib
-                self.w = acc_w
-            else:
-                # Every sampled edge dark/lost: the round makes no model step.
-                faults.degraded_round(round_index, "phase1_model_update")
-            if cloud_agg is not None:
-                pass  # checkpoint handled on the robust path above
-            elif acc_ckpt is not None and n_ckpt == len(sampled):
-                acc_ckpt /= self.m_edges  # Eq. (6): checkpoint model
-                w_checkpoint = acc_ckpt
-            elif acc_ckpt is not None and n_ckpt > 0:
-                acc_ckpt /= n_ckpt        # degraded Eq. (6)
-                w_checkpoint = acc_ckpt
-            else:
-                # Ablation variant (or zero surviving checkpoints): probe
-                # losses at the current global model instead.
-                if self.use_checkpoint:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                w_checkpoint = self.w
+            w_checkpoint = self._aggregate_phase1(ctx, uploads)
 
         # ---- Phase 2: uniform re-sample, loss estimation at the checkpoint model.
-        self._phase2_weight_update(round_index, w_checkpoint)
+        self._phase2_weight_update(ctx, w_checkpoint)
 
-    def _phase2_weight_update(self, round_index: int,
+    def _phase2_weight_update(self, ctx: RoundContext,
                               w_checkpoint: np.ndarray) -> None:
         """Phase 2 (Eq. (7)): probe a uniform edge subset, ascend the weights."""
         d = self._dim
-        obs = self.obs
-        faults = self.faults
         timing = self.timing
-        injecting = faults.enabled
-        with obs.span("phase2_weight_update", round=round_index):
-            probed = sample_uniform_subset(self.dataset.num_edges, self.m_edges,
-                                           self.rng)
-            self.tracker.record("edge_cloud", "down", count=len(probed), floats=d)
-            losses: dict[int, float] = {}
-            # Probed edges answer concurrently; Phase 2 costs the slowest probe.
-            with timing.parallel("phase2"):
-                for e in probed:
-                    eid = int(e)
-                    est: float | None = None
-                    roster = self._edge_roster(eid)
-                    with timing.branch(f"edge:{eid}" if timing.record
-                                       else None):
-                        if roster is not EDGE_UNAVAILABLE and not (
-                                injecting and faults.edge_dark(round_index,
-                                                               eid)):
-                            if timing.enabled:
-                                timing.transfer("edge_cloud", eid, d)
-                            est = self.edges[eid].estimate_loss(
-                                self.engine, w_checkpoint, tracker=self.tracker,
-                                faults=faults, round_index=round_index,
-                                loss_clip=self._loss_clip, timing=timing,
-                                roster=roster)
-                            if est is not None:
-                                self.tracker.record("edge_cloud", "up", count=1,
-                                                    floats=1)
-                                if timing.enabled:
-                                    timing.transfer("edge_cloud", eid, 1)
-                                if injecting:
-                                    delivered = faults.receive(
-                                        round_index, "edge_cloud",
-                                        f"edge:{eid}", est,
-                                        floats=1.0, tracker=self.tracker)
-                                    est = (None if delivered is None
-                                           else delivered[0])
-                    if est is None:
-                        # Dark edge or lost probe: fall back to the last loss
-                        # the cloud saw for this edge, if any.
-                        stale = self._last_losses.get(eid)
-                        if stale is not None:
-                            faults.stale_loss(round_index, f"edge:{eid}", stale)
-                            losses[eid] = stale
-                        continue
-                    losses[eid] = est
-            self.tracker.sync_cycle("edge_cloud")
-            losses = self._clip_losses(round_index, losses, "edge")
-            if losses:
-                self._last_losses.update(losses)
-                obs.gauge("worst_edge_loss", max(losses.values()))
-                v = self.cloud.build_loss_vector(losses)
-                self.p = self.cloud.update_weights(self.p, v, eta_p=self.eta_p,
-                                                   tau1=self.tau1, tau2=self.tau2)
-            else:
-                # No loss information at all this round: keep p^(k) as is.
-                faults.degraded_round(round_index, "phase2_weight_update")
+
+        def estimate(eid: int) -> float | None:
+            roster = self._edge_roster(eid)
+            if roster is EDGE_UNAVAILABLE or (
+                    ctx.injecting and self.faults.edge_dark(ctx.round_index,
+                                                            eid)):
+                return None
+            if timing.enabled:
+                timing.transfer("edge_cloud", eid, d)
+            return self.edges[eid].estimate_loss(
+                self.engine, w_checkpoint, tracker=self.tracker,
+                faults=self.faults, round_index=ctx.round_index,
+                loss_clip=self._loss_clip, timing=timing, roster=roster)
+
+        with self.obs.span("phase2_weight_update", round=ctx.round_index):
+            probed = sample_uniform_subset(self.dataset.num_edges,
+                                           self.m_edges, self.rng)
+            self.p = ascend_weights(
+                ctx, self.cloud, self.p, probed, estimate, link="edge_cloud",
+                prefix="edge", down_floats=d, stale=self._last_losses,
+                loss_clip=self._loss_clip, eta=self.eta_p, tau1=self.tau1,
+                tau2=self.tau2, gauge="worst_edge_loss")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hierminimax import HierMinimax
-from repro.defense.policy import robust_combine
+from repro.sim.round_ops import Upload
 from repro.topology.sampling import sample_by_weight, sample_checkpoint_slot
 
 __all__ = ["SemiAsyncHierMinimax"]
@@ -94,15 +94,13 @@ class SemiAsyncHierMinimax(HierMinimax):
     # ------------------------------------------------------------------ round
     def run_round(self, round_index: int) -> None:
         """Dispatch to free edges, merge the due-or-arrived flights, Phase 2."""
-        d = self._dim
+        ctx = self._context(round_index)
         obs = self.obs
-        faults = self.faults
         timing = self.timing
         # Identical Phase-1 sampling to the synchronous algorithm.
         sampled = sample_by_weight(self.p, self.m_edges, self.rng)
         c1, c2 = sample_checkpoint_slot(self.tau1, self.tau2, self.rng)
         checkpoint = (c1, c2) if self.use_checkpoint else None
-        upload_floats = self._upload_floats()
         busy = {f["eid"] for f in self._inflight if f["round"] < round_index}
         with obs.span("phase1_model_update", round=round_index,
                       sampled_edges=len(sampled), c1=c1, c2=c2,
@@ -119,8 +117,7 @@ class SemiAsyncHierMinimax(HierMinimax):
                 dispatched.append(eid)
                 with timing.measure(f"edge:{eid}" if timing.record
                                     else None) as leg:
-                    delivered = self._edge_upload(round_index, eid, checkpoint,
-                                                  upload_floats)
+                    delivered = self._edge_upload(ctx, eid, checkpoint)
                 w_e, w_ckpt = (None, None) if delivered is None else delivered
                 legs.append({"eid": eid, "round": round_index, "w_e": w_e,
                              "w_ckpt": w_ckpt, "duration": leg.duration})
@@ -128,7 +125,7 @@ class SemiAsyncHierMinimax(HierMinimax):
                 # Cloud broadcasts w^(k) and (c1, c2) to the dispatched edges.
                 self.tracker.record("edge_cloud", "down",
                                     count=len(np.unique(dispatched)),
-                                    floats=d + 2)
+                                    floats=self._dim + 2)
             # All dispatches leave the cloud at the same instant; each leg's
             # arrival is its own (measured, non-blocking) duration later.
             t0 = timing.now
@@ -176,15 +173,12 @@ class SemiAsyncHierMinimax(HierMinimax):
                           max(round_index - f["round"] for f in collected))
             self.tracker.sync_cycle("edge_cloud")
             # ---- Merge with the synchronous Eq. (5)/(6) arithmetic.
-            w_checkpoint = self._merge(round_index, sampled, collected)
+            w_checkpoint = self._merge(ctx, collected)
         # ---- Phase 2 is verbatim the synchronous weight update.
-        self._phase2_weight_update(round_index, w_checkpoint)
+        self._phase2_weight_update(ctx, w_checkpoint)
 
-    def _merge(self, round_index: int, sampled, collected: list[dict],
-               ) -> np.ndarray:
-        """Fold the collected flights into ``w`` / the checkpoint model."""
-        d = self._dim
-        faults = self.faults
+    def _merge(self, ctx, collected: list[dict]) -> np.ndarray:
+        """Fold the collected flights into ``w``; return the probe model."""
         membership = self.membership
         if membership.enabled:
             # An edge that crashed or was partitioned after dispatch never
@@ -195,63 +189,12 @@ class SemiAsyncHierMinimax(HierMinimax):
                         f["eid"]):
                     f["w_e"] = None
                     f["w_ckpt"] = None
-                    self.obs.event("membership", round=round_index,
+                    self.obs.event("membership", round=ctx.round_index,
                                    action="flight_dropped",
                                    entity=f"edge:{f['eid']}",
                                    dispatched=f["round"])
                     self.obs.count("membership_stale_flights_total")
-        cloud_agg = self._cloud_agg
-        w_ref = self.w
-        if cloud_agg is not None:
-            entries = [(f"edge:{f['eid']}", 1.0, f["w_e"])
-                       for f in collected if f["w_e"] is not None]
-            ckpt_entries = [(f"edge:{f['eid']}", 1.0, f["w_ckpt"])
-                            for f in collected if f["w_ckpt"] is not None]
-            combined = robust_combine(cloud_agg, entries, ref=w_ref,
-                                      faults=faults, round_index=round_index,
-                                      link="edge_cloud")
-            if combined is not None:
-                self.w = combined
-            else:
-                faults.degraded_round(round_index, "phase1_model_update")
-            w_checkpoint = self.w
-            if self.use_checkpoint:
-                ckpt_combined = robust_combine(
-                    cloud_agg, ckpt_entries, ref=w_ref, faults=faults,
-                    round_index=round_index, link="edge_cloud")
-                if ckpt_combined is not None:
-                    w_checkpoint = ckpt_combined
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-            return w_checkpoint
-        acc_w = np.zeros(d)
-        acc_ckpt = np.zeros(d) if self.use_checkpoint else None
-        n_contrib = 0
-        n_ckpt = 0
-        for f in collected:
-            if f["w_e"] is None:
-                continue
-            acc_w += f["w_e"]
-            n_contrib += 1
-            if acc_ckpt is not None and f["w_ckpt"] is not None:
-                acc_ckpt += f["w_ckpt"]
-                n_ckpt += 1
-        if n_contrib == len(sampled):
-            acc_w /= self.m_edges     # Eq. (5): full (fresh) cohort
-            self.w = acc_w
-        elif n_contrib > 0:
-            acc_w /= n_contrib        # partial merge: renormalize
-            self.w = acc_w
-        else:
-            # Nothing landed (or every upload was lost): no model step.
-            faults.degraded_round(round_index, "phase1_model_update")
-        if acc_ckpt is not None and n_ckpt == len(sampled):
-            acc_ckpt /= self.m_edges  # Eq. (6)
-            return acc_ckpt
-        if acc_ckpt is not None and n_ckpt > 0:
-            acc_ckpt /= n_ckpt
-            return acc_ckpt
-        if self.use_checkpoint:
-            faults.checkpoint_fallback(round_index, "phase1_model_update")
-        return self.w
+        # The synchronous Eq. (5)/(6) aggregation point over what landed.
+        return self._aggregate_phase1(ctx, [
+            Upload(f"edge:{f['eid']}", 1.0, f["w_e"], f["w_ckpt"])
+            for f in collected if f["w_e"] is not None])

@@ -50,8 +50,8 @@ class RobustAggregator:
 
     #: Registry/display name.
     name = "abstract"
-    #: True only for the reference rule — call sites keep their original
-    #: inline accumulation (bit-identical to a build without this subsystem).
+    #: True only for the reference rule — aggregation points keep their plain
+    #: weighted mean (bit-identical to a build without this subsystem).
     reference = False
 
     def combine(self, vectors, weights=None, ref=None) -> AggregationOutcome:

@@ -62,8 +62,8 @@ class DefensePolicy:
         """The *active* aggregator for ``"edge"`` or ``"cloud"``.
 
         Returns ``None`` for both an empty slot and the reference rule —
-        call sites branch to their original inline accumulation in either
-        case, which is what keeps the mean configuration bit-identical.
+        aggregation points keep their plain weighted mean in either case,
+        which is what keeps the mean configuration bit-identical.
         """
         agg = self.edge if which == "edge" else self.cloud
         if agg is None or agg.reference:

@@ -30,12 +30,13 @@ import numpy as np
 
 from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
-from repro.defense.policy import clip_loss_reports, robust_combine
-from repro.exec import ClientWork, run_local_steps
 from repro.multilayer.tree import HierarchyTree
 from repro.nn.models import ModelFactory
 from repro.ops.projections import Projection, identity_projection, project_simplex
 from repro.sim.cloud import CloudServer
+from repro.sim.round_ops import RoundContext, aggregate, ascend_weights, \
+    client_loss, fan_out, gather_losses, local_steps, mean_reply, relay, \
+    train_clients
 from repro.topology.comm import CommunicationTracker
 from repro.topology.sampling import sample_by_weight, sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_float, check_positive_int
@@ -116,18 +117,14 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
         # the tree), so churn runs in flat mode: arrivals/departures plus
         # crash/partition episodes on the top areas, without re-homing.
         self.membership.bind_flat(self.clients, num_edges=tree.num_top_areas)
-        self._last_losses: dict[int, float] = {}
 
     # ---------------------------------------------------------- checkpointing
     def _extra_state(self) -> dict:
-        return {"p": self.p,
-                "last_losses": {str(k): v
-                                for k, v in self._last_losses.items()}}
+        return {"p": self.p, **super()._extra_state()}
 
     def _restore_extra(self, extra: dict) -> None:
+        super()._restore_extra(extra)
         self.p = np.asarray(extra["p"], dtype=np.float64)
-        self._last_losses = {int(k): float(v)
-                             for k, v in extra.get("last_losses", {}).items()}
 
     @property
     def slots_per_round(self) -> int:
@@ -147,452 +144,157 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
             slot //= self.taus[level]
         return tuple(digits)
 
-    def _subtree_update(self, level: int, node: int, w_start: np.ndarray,
-                        ckpt_digits: tuple[int, ...] | None, round_index: int,
-                        ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    def _subtree_update(self, ctx: RoundContext, level: int, node: int,
+                        w_start: np.ndarray,
+                        ckpt_digits: tuple[int, ...] | None,
+                        ) -> tuple[np.ndarray, np.ndarray | None] | None:
         """Recursive ModelUpdate of the subtree rooted at (level, node).
 
         Returns the subtree's final model and its checkpoint aggregate (``None``
-        when this invocation is outside the checkpoint path).  A dropped-out
-        leaf returns ``(None, None)``; interior nodes average over surviving
-        children, so a whole-subtree failure surfaces as an unchanged model.
+        when this invocation is outside the checkpoint path).  Interior nodes
+        average over surviving children, so a whole-subtree failure surfaces
+        as an unchanged model; only a leaf directly under the cloud (a
+        depth-1 tree) can return ``None``, when it drops out.
         """
         depth = self.tree.depth
-        obs = self.obs
-        faults = self.faults
-        injecting = faults.enabled
         if level == depth:
             # Leaf: taus[-1] local SGD steps; snapshot after (leaf digit + 1).
-            steps_full = self.taus[depth - 1]
-            client = self.clients[node]
-            membership = self.membership
-            if membership.enabled and not membership.client_active(
-                    client.client_id):
-                return None, None
-            steps = steps_full if not injecting else faults.client_steps(
-                round_index, client.client_id, steps_full)
-            if steps < 1:
-                return None, None
-            c_leaf = None if ckpt_digits is None else ckpt_digits[depth - 1] + 1
-            takes_ckpt = c_leaf is not None and c_leaf <= steps
-            with obs.span("client_local_steps", client=node, steps=steps):
-                out = client.local_sgd(
-                    self.engine, w_start, steps=steps, lr=self.eta_w,
-                    projection=self.projection_w,
-                    checkpoint_after=c_leaf if takes_ckpt else None)
-            obs.count("sgd_steps_total", steps)
-            return out
+            work, _, results = local_steps(
+                ctx, [self.clients[node]], w_start, steps=self.taus[-1],
+                checkpoint_after=(None if ckpt_digits is None
+                                  else ckpt_digits[-1] + 1))
+            return (results[0].w_end, results[0].w_checkpoint) if work \
+                else None
         kids = self.tree.children_of(level, node)
         link = f"level_{level + 1}"
         d = w_start.size
         tau_here = self.taus[level - 1]  # iterations a level-`level` node performs
         c_here = None if ckpt_digits is None else ckpt_digits[level - 1]
-        # Interior nodes are the generalization of the edge tier: the policy's
-        # edge-slot aggregator applies at every level below the cloud.
-        node_agg = self._edge_agg
         w = np.array(w_start, dtype=np.float64, copy=True)
         w_ckpt: np.ndarray | None = None
         for t in range(tau_here):
             on_ckpt_path = c_here is not None and t == c_here
-            with obs.span("edge_block", level=level, node=node, block=t):
+            digits = ckpt_digits if on_ckpt_path else None
+            with self.obs.span("edge_block", level=level, node=node, block=t):
                 self.tracker.record(link, "down", count=len(kids), floats=d)
-                acc = np.zeros(d)
-                ckpt_acc = np.zeros(d) if on_ckpt_path else None
-                n_live = 0
-                n_ckpt = 0
-                ckpt_faulted = False
-                entries: list[tuple[str, float, np.ndarray]] = []
-                ckpt_entries: list[tuple[str, float, np.ndarray]] = []
-                timing = self.timing
                 if level + 1 == depth:
                     # Children are the leaf clients: run the whole sibling
                     # group as one dispatch on the execution backend.
-                    child_results = self._leaf_batch(
-                        kids, w, ckpt_digits if on_ckpt_path else None,
-                        round_index)
+                    uploads = train_clients(
+                        ctx, [self.clients[k] for k in kids], w,
+                        steps=self.taus[-1], link=link,
+                        checkpoint_after=(None if digits is None
+                                          else digits[-1] + 1))
                 else:
                     # Sibling subtrees work concurrently: the block costs the
                     # slowest child's (down + subtree + up) chain, and nested
                     # parallel groups fold to a max-of-max — each level's
                     # barrier in one expression.
-                    child_results = []
-                    with timing.parallel():
-                        for k in kids:
-                            with timing.branch():
-                                if timing.enabled:
-                                    timing.transfer(link, k, d)
-                                w_k, w_kc = self._subtree_update(
-                                    level + 1, k, w,
-                                    ckpt_digits if on_ckpt_path else None,
-                                    round_index)
-                                if timing.enabled and w_k is not None:
-                                    timing.transfer(
-                                        link, k,
-                                        d * (2 if on_ckpt_path
-                                             and w_kc is not None else 1))
-                                child_results.append((k, w_k, w_kc))
-                for k, w_k, w_kc in child_results:
-                    if w_k is None:
-                        ckpt_faulted = ckpt_faulted or on_ckpt_path
-                        continue
-                    uploads = 2 if on_ckpt_path and w_kc is not None else 1
-                    self.tracker.record(link, "up", count=1, floats=d * uploads)
-                    sender = (f"client:{k}" if level + 1 == depth
-                              else f"node:{level + 1}:{k}")
-                    if injecting:
-                        delivered = faults.receive(
-                            round_index, link, sender, w_k, w_kc,
-                            floats=d * uploads, tracker=self.tracker, ref=w)
-                        if delivered is None:
-                            ckpt_faulted = ckpt_faulted or on_ckpt_path
-                            continue
-                        w_k, w_kc = delivered
-                    if node_agg is not None:
-                        entries.append((sender, 1.0, w_k))
-                        if ckpt_acc is not None:
-                            if w_kc is not None:
-                                ckpt_entries.append((sender, 1.0, w_kc))
-                            else:
-                                ckpt_faulted = True
-                        continue
-                    acc += w_k
-                    n_live += 1
-                    if ckpt_acc is not None:
-                        if w_kc is not None:
-                            ckpt_acc += w_kc
-                            n_ckpt += 1
-                        else:
-                            ckpt_faulted = True
+                    uploads = fan_out(
+                        ctx, kids,
+                        lambda k: relay(
+                            ctx, link, k, f"node:{level + 1}:{k}", w,
+                            lambda: self._subtree_update(ctx, level + 1, k,
+                                                         w, digits),
+                            down_floats=d,
+                            up_floats=d * (2 if on_ckpt_path else 1)),
+                        prefix=f"node:{level + 1}")
                 self.tracker.sync_cycle(link)
-                if node_agg is not None:
-                    # Robust aggregation over this node's delivered children.
-                    combined = robust_combine(node_agg, entries, ref=w,
-                                              faults=faults,
-                                              round_index=round_index,
-                                              link=link)
-                    ckpt_combined = (None if ckpt_acc is None else
-                                     robust_combine(node_agg, ckpt_entries,
-                                                    ref=w, faults=faults,
-                                                    round_index=round_index,
-                                                    link=link))
-                    if combined is not None:
-                        w = combined
-                    else:
-                        faults.degraded_round(
-                            round_index, f"node:{level}:{node}:block:{t}")
-                    if ckpt_acc is not None:
-                        if ckpt_combined is not None:
-                            w_ckpt = ckpt_combined
-                        else:
-                            faults.checkpoint_fallback(
-                                round_index, f"node:{level}:{node}:block:{t}")
-                            w_ckpt = w.copy()
-                    continue
-                if n_live == len(kids):
-                    w = acc / len(kids)
-                elif n_live > 0:
-                    # Renormalize over surviving children.
-                    w = acc / n_live
-                else:
-                    faults.degraded_round(
-                        round_index, f"node:{level}:{node}:block:{t}")
-                if ckpt_acc is not None:
-                    if n_ckpt == len(kids):
-                        w_ckpt = ckpt_acc / len(kids)
-                    elif n_ckpt > 0:
-                        w_ckpt = ckpt_acc / n_ckpt
-                    else:
-                        faults.checkpoint_fallback(
-                            round_index, f"node:{level}:{node}:block:{t}")
-                        w_ckpt = w.copy()
+                # Interior nodes are the generalization of the edge tier: the
+                # policy's edge-slot aggregator applies at every level below
+                # the cloud.
+                w, block_ckpt = aggregate(
+                    ctx, uploads, w, link=link,
+                    what=f"node:{level}:{node}:block:{t}", rule=self._edge_agg,
+                    checkpoint=on_ckpt_path)
+                if on_ckpt_path:
+                    w_ckpt = block_ckpt
         return w, w_ckpt
 
-    def _leaf_batch(self, kids, w_start: np.ndarray,
-                    ckpt_digits: tuple[int, ...] | None, round_index: int,
-                    ) -> list[tuple[int, np.ndarray | None, np.ndarray | None]]:
-        """One dispatch covering a whole sibling group of leaf clients.
-
-        Mirrors the leaf branch of :meth:`_subtree_update` exactly — same
-        fault-decided step budgets, same checkpoint rule, same client order —
-        but hands the SGD loops to the execution backend in one batch.
-        Returns ``(k, w_end, w_checkpoint)`` per child, ``(k, None, None)``
-        for dropped-out leaves.
-        """
-        depth = self.tree.depth
-        faults = self.faults
-        injecting = faults.enabled
-        steps_full = self.taus[depth - 1]
-        c_leaf = None if ckpt_digits is None else ckpt_digits[depth - 1] + 1
-        work: list[ClientWork] = []
-        members: list[int] = []
-        outcomes: dict[int, tuple[np.ndarray | None, np.ndarray | None]] = {}
-        membership = self.membership
-        for k in kids:
-            client = self.clients[k]
-            if membership.enabled and not membership.client_active(
-                    client.client_id):
-                outcomes[k] = (None, None)
-                continue
-            steps = steps_full if not injecting else faults.client_steps(
-                round_index, client.client_id, steps_full)
-            if steps < 1:
-                outcomes[k] = (None, None)
-                continue
-            takes_ckpt = c_leaf is not None and c_leaf <= steps
-            work.append(ClientWork(client, steps,
-                                   c_leaf if takes_ckpt else None))
-            members.append(k)
-        results = run_local_steps(
-            self.backend, self.engine, w_start, work, lr=self.eta_w,
-            projection=self.projection_w, obs=self.obs) if work else []
-        timing = self.timing
-        if timing.enabled:
-            # The sibling group runs concurrently on the leaf link.
-            link = f"level_{depth}"
-            d = w_start.size
-            with timing.parallel():
-                for item in work:
-                    cid = item.client.client_id
-                    scale = (faults.plan.straggler_slowdown
-                             if injecting and item.steps < steps_full else 1.0)
-                    with timing.branch():
-                        timing.transfer(link, cid, d)
-                        timing.compute(cid, item.steps, scale=scale)
-                        timing.transfer(
-                            link, cid,
-                            d * (2 if item.checkpoint_after is not None
-                                 else 1))
-        for k, result in zip(members, results):
-            outcomes[k] = (result.w_end, result.w_checkpoint)
-        return [(k, *outcomes[k]) for k in kids]
-
-    def _subtree_loss(self, level: int, node: int, w: np.ndarray,
-                      round_index: int) -> float | None:
+    def _subtree_loss(self, ctx: RoundContext, level: int, node: int,
+                      w: np.ndarray) -> float | None:
         """Recursive LossEstimation: mean of minibatch losses over leaf clients.
 
-        Returns ``None`` when no leaf of the subtree replied (fault runs only).
+        Returns ``None`` when no leaf of the subtree replied.  With a loss
+        clip installed, every interior node damps its children's cohort
+        before averaging.
         """
         depth = self.tree.depth
-        faults = self.faults
-        injecting = faults.enabled
-        timing = self.timing
         if level == depth:
-            client = self.clients[node]
-            membership = self.membership
-            if membership.enabled and not membership.client_active(
-                    client.client_id):
-                return None
-            if injecting and not faults.client_available(round_index,
-                                                         client.client_id):
-                return None
-            if timing.enabled:
-                timing.probe(client.client_id)
-            return client.estimate_loss(self.engine, w)
-        kids = self.tree.children_of(level, node)
+            return client_loss(ctx, self.clients[node], w)
         link = f"level_{level + 1}"
         d = w.size
-        self.tracker.record(link, "down", count=len(kids), floats=d)
-        # With a loss clip installed, every interior node damps its children's
-        # cohort before averaging — one inflated leaf cannot poison the whole
-        # subtree's score on its way up.
-        reports: dict[str, float] | None = ({} if self._loss_clip is not None
-                                            else None)
-        total = 0.0
-        replied = 0
-        with timing.parallel():
-            for k in kids:
-                with timing.branch():
-                    if timing.enabled:
-                        timing.transfer(link, k, d)
-                    sub = self._subtree_loss(level + 1, k, w, round_index)
-                    if sub is None:
-                        continue
-                    if timing.enabled:
-                        timing.transfer(link, k, 1)
-                    self.tracker.record(link, "up", count=1, floats=1)
-                    sender = (f"client:{k}" if level + 1 == depth
-                              else f"node:{level + 1}:{k}")
-                    if injecting:
-                        delivered = faults.receive(
-                            round_index, link, sender, sub,
-                            floats=1.0, tracker=self.tracker)
-                        if delivered is None:
-                            continue
-                        (sub,) = delivered
-                    if reports is not None:
-                        reports[sender] = float(sub)
-                    total += sub
-                    replied += 1
-        self.tracker.sync_cycle(link)
-        if replied == 0:
-            return None
-        if reports is not None:
-            clipped, ids, cap = clip_loss_reports(reports, self._loss_clip)
-            if ids:
-                for sender in ids:
-                    faults.suspect(round_index, sender, action="loss_clipped",
-                                   aggregator="loss_clip", cap=round(cap, 6))
-                return sum(clipped.values()) / replied
-        return total / replied
+        timing = self.timing
+
+        def estimate(k: int) -> float | None:
+            if timing.enabled:
+                timing.transfer(link, k, d)
+            return self._subtree_loss(ctx, level + 1, k, w)
+
+        prefix = "client" if level + 1 == depth else f"node:{level + 1}"
+        replies = gather_losses(ctx, link, self.tree.children_of(level, node),
+                                estimate, prefix=prefix, down_floats=d)
+        return mean_reply(ctx, replies, self._loss_clip, prefix)
 
     # ------------------------------------------------------------------ round
     def run_round(self, round_index: int) -> None:
         """One generalized Algorithm-1 round over the tree."""
+        ctx = self._context(round_index)
         d = self.w.size
-        obs = self.obs
         faults = self.faults
-        injecting = faults.enabled
+        membership = self.membership
+        timing = self.timing
+
+        def available(aid: int) -> bool:
+            # Top areas are the generalization of edge servers: an edge
+            # outage blacks out the whole level-1 subtree for the round,
+            # whether faulted or churned away.
+            return not ((ctx.injecting and faults.edge_dark(round_index, aid))
+                        or (membership.enabled
+                            and not membership.edge_available(aid)))
+
         # Phase 1: sample level-1 subtrees by p; sample the checkpoint digits.
         sampled = sample_by_weight(self.p, self.m_top, self.rng)
         slot = int(self.rng.integers(0, self.slots_per_round))
         ckpt_digits = self._decode_checkpoint(slot)
-        with obs.span("phase1_model_update", round=round_index,
-                      sampled_areas=len(sampled), checkpoint_slot=slot):
+        with self.obs.span("phase1_model_update", round=round_index,
+                           sampled_areas=len(sampled), checkpoint_slot=slot):
             self.tracker.record("level_1", "down", count=len(np.unique(sampled)),
                                 floats=d + len(self.taus))
-            acc_w = np.zeros(d)
-            acc_ckpt = np.zeros(d)
-            n_contrib = 0
-            n_ckpt = 0
-            cloud_agg = self._cloud_agg
-            entries: list[tuple[str, float, np.ndarray]] = []
-            ckpt_entries: list[tuple[str, float, np.ndarray]] = []
-            timing = self.timing
-            # Sampled areas work concurrently; nested levels fold to max-of-max.
-            with timing.parallel():
-                for a in sampled:
-                    aid = int(a)
-                    top = self._top_nodes[aid]
-                    with timing.branch():
-                        # Top areas are the generalization of edge servers: an
-                        # edge outage blacks out the whole level-1 subtree for
-                        # the round, whether faulted or churned away.
-                        if injecting and faults.edge_dark(round_index, aid):
-                            continue
-                        if (self.membership.enabled
-                                and not self.membership.edge_available(aid)):
-                            continue
-                        if timing.enabled:
-                            timing.transfer("level_1", aid,
-                                            d + len(self.taus))
-                        # The cloud itself performs exactly one "iteration" per
-                        # round, so the level-1 digit is consumed by sampling:
-                        # the subtree is always on the checkpoint path at the
-                        # top.
-                        w_a, w_ac = self._subtree_update(1, top, self.w,
-                                                         ckpt_digits,
-                                                         round_index)
-                        if w_a is None:
-                            continue
-                        self.tracker.record("level_1", "up", count=1,
-                                            floats=2 * d)
-                        if timing.enabled:
-                            timing.transfer("level_1", aid, 2 * d)
-                        if injecting:
-                            delivered = faults.receive(
-                                round_index, "level_1", f"area:{aid}", w_a,
-                                w_ac,
-                                floats=2 * d, tracker=self.tracker, ref=self.w)
-                            if delivered is None:
-                                continue
-                            w_a, w_ac = delivered
-                        if cloud_agg is not None:
-                            entries.append((f"area:{aid}", 1.0, w_a))
-                            if w_ac is not None:
-                                ckpt_entries.append((f"area:{aid}", 1.0, w_ac))
-                            continue
-                        acc_w += w_a
-                        n_contrib += 1
-                        if w_ac is not None:
-                            acc_ckpt += w_ac
-                            n_ckpt += 1
+            # Sampled areas work concurrently; nested levels fold to
+            # max-of-max.  The cloud itself performs exactly one "iteration"
+            # per round, so the level-1 digit is consumed by sampling: the
+            # subtree is always on the checkpoint path at the top.
+            uploads = fan_out(
+                ctx, sampled,
+                lambda aid: relay(
+                    ctx, "level_1", aid, f"area:{aid}", self.w,
+                    lambda: self._subtree_update(
+                        ctx, 1, self._top_nodes[aid], self.w, ckpt_digits),
+                    down_floats=d + len(self.taus),
+                    up_floats=2 * d) if available(aid) else None,
+                prefix="area", label="phase1")
             self.tracker.sync_cycle("level_1")
-            if cloud_agg is not None:
-                # Robust aggregation replaces the sampled-subtree mean.
-                w_ref = self.w
-                combined = robust_combine(cloud_agg, entries, ref=w_ref,
-                                          faults=faults,
-                                          round_index=round_index,
-                                          link="level_1")
-                if combined is not None:
-                    self.w = combined
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                ckpt_combined = robust_combine(cloud_agg, ckpt_entries,
-                                               ref=w_ref, faults=faults,
-                                               round_index=round_index,
-                                               link="level_1")
-                if ckpt_combined is not None:
-                    w_checkpoint = ckpt_combined
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                    w_checkpoint = self.w
-            else:
-                if n_contrib == len(sampled):
-                    self.w = acc_w / self.m_top
-                elif n_contrib > 0:
-                    self.w = acc_w / n_contrib
-                else:
-                    faults.degraded_round(round_index, "phase1_model_update")
-                if n_ckpt == len(sampled):
-                    w_checkpoint = acc_ckpt / self.m_top
-                elif n_ckpt > 0:
-                    w_checkpoint = acc_ckpt / n_ckpt
-                else:
-                    faults.checkpoint_fallback(round_index,
-                                               "phase1_model_update")
-                    w_checkpoint = self.w
+            self.w, w_checkpoint = aggregate(
+                ctx, uploads, self.w, link="level_1",
+                what="phase1_model_update", rule=self._cloud_agg,
+                checkpoint=True)
 
         # Phase 2: uniform re-sample; recursive loss estimation; ascent on p.
-        with obs.span("phase2_weight_update", round=round_index):
+        def estimate(aid: int) -> float | None:
+            if not available(aid):
+                return None
+            if timing.enabled:
+                timing.transfer("level_1", aid, d)
+            return self._subtree_loss(ctx, 1, self._top_nodes[aid],
+                                      w_checkpoint)
+
+        with self.obs.span("phase2_weight_update", round=round_index):
             probed = sample_uniform_subset(len(self._top_nodes), self.m_top,
                                            self.rng)
-            self.tracker.record("level_1", "down", count=len(probed), floats=d)
-            losses: dict[int, float] = {}
-            timing = self.timing
-            with timing.parallel():
-                for a in probed:
-                    aid = int(a)
-                    est: float | None = None
-                    with timing.branch():
-                        if (not (injecting and faults.edge_dark(round_index,
-                                                                aid))
-                                and (not self.membership.enabled
-                                     or self.membership.edge_available(aid))):
-                            if timing.enabled:
-                                timing.transfer("level_1", aid, d)
-                            est = self._subtree_loss(1, self._top_nodes[aid],
-                                                     w_checkpoint, round_index)
-                            if est is not None:
-                                self.tracker.record("level_1", "up", count=1,
-                                                    floats=1)
-                                if timing.enabled:
-                                    timing.transfer("level_1", aid, 1)
-                                if injecting:
-                                    delivered = faults.receive(
-                                        round_index, "level_1", f"area:{aid}",
-                                        est,
-                                        floats=1.0, tracker=self.tracker)
-                                    est = (None if delivered is None
-                                           else delivered[0])
-                    if est is None:
-                        stale = self._last_losses.get(aid)
-                        if stale is not None:
-                            faults.stale_loss(round_index, f"area:{aid}",
-                                              stale)
-                            losses[aid] = stale
-                        continue
-                    losses[aid] = est
-            self.tracker.sync_cycle("level_1")
-            losses = self._clip_losses(round_index, losses, "area")
-            if losses:
-                self._last_losses.update(losses)
-                obs.gauge("worst_edge_loss", max(losses.values()))
-                v = self.cloud.build_loss_vector(losses)
-                # Ascent step scaled by the Π_l τ_l slots each update stands in for.
-                self.p = self.cloud.update_weights(self.p, v, eta_p=self.eta_p,
-                                                   tau1=self.slots_per_round,
-                                                   tau2=1)
-            else:
-                faults.degraded_round(round_index, "phase2_weight_update")
+            # Ascent step scaled by the Π_l τ_l slots each update stands in for.
+            self.p = ascend_weights(
+                ctx, self.cloud, self.p, probed, estimate, link="level_1",
+                prefix="area", down_floats=d, stale=self._last_losses,
+                loss_clip=self._loss_clip, eta=self.eta_p,
+                tau1=self.slots_per_round, tau2=1, gauge="worst_edge_loss")

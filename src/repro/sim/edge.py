@@ -8,8 +8,8 @@ An :class:`EdgeServer` owns the clients of its edge area and implements
   ``f_e(w) = (1/N0) Σ_n f_n(w; ξ_n)``.
 
 Communication with its clients is accounted on the ``client_edge`` link of the
-supplied :class:`~repro.topology.comm.CommunicationTracker`.  Aggregation
-accumulates into preallocated buffers (one ``d``-vector per edge, not per client).
+supplied :class:`~repro.topology.comm.CommunicationTracker`.  Each block is one
+client leg plus one aggregation point of :mod:`repro.sim.round_ops`.
 """
 
 from __future__ import annotations
@@ -18,29 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.defense.policy import clip_loss_reports, robust_combine
-from repro.exec.dispatch import ClientWork, run_local_steps
 from repro.nn.network import NeuralNetwork
-from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.sim.client import Client
+from repro.sim.round_ops import RoundContext, aggregate, client_loss, \
+    gather_losses, mean_reply, train_clients
 from repro.topology.comm import CommunicationTracker
 from repro.utils.validation import check_positive_float, check_positive_int
 
 __all__ = ["EdgeServer"]
-
-
-def _compress(compressor, sender: int, delta: np.ndarray,
-              rng: np.random.Generator | None) -> np.ndarray:
-    """Apply a compressor to an upload delta, with sender attribution if supported."""
-    if rng is None:
-        # A fixed fallback generator would silently re-seed on every call,
-        # making "random" quantization identical across all uploads — require
-        # the caller to thread a real stream instead.
-        raise ValueError("compression requires an explicit comp_rng generator")
-    if hasattr(compressor, "compress_from"):
-        return compressor.compress_from(sender, delta, rng)
-    return compressor.compress(delta, rng)
 
 
 class EdgeServer:
@@ -127,7 +113,7 @@ class EdgeServer:
             block's delivered client uploads are combined by the robust rule
             instead of the weighted mean, and rejected/clipped senders are
             reported through ``faults.suspect``.  ``None`` (empty slot or the
-            reference mean) keeps the original inline accumulation.
+            reference mean) keeps the plain weighted mean.
         timing:
             Optional :class:`~repro.simtime.SimTimer`.  Each block charges a
             parallel client region (broadcast down, ``steps`` of compute, the
@@ -152,7 +138,6 @@ class EdgeServer:
         tau1 = check_positive_int(tau1, "tau1")
         tau2 = check_positive_int(tau2, "tau2")
         lr = check_positive_float(lr, "lr")
-        injecting = faults is not None and faults.enabled
         c1: int | None = None
         c2: int | None = None
         if checkpoint is not None:
@@ -173,165 +158,31 @@ class EdgeServer:
             agg_weights /= agg_weights.sum()
         else:
             agg_weights = np.full(n0, 1.0 / n0)
-        obs = obs if obs is not None else NULL_TRACER
+        ctx = RoundContext(round_index, engine, lr=lr, projection=projection,
+                           backend=backend, obs=obs, faults=faults,
+                           timing=timing, tracker=tracker)
+        upload_floats = float(d) if compressor is None else \
+            compressor.payload_floats(d)
         w_edge = np.array(w_start, dtype=np.float64, copy=True)
         w_ckpt: np.ndarray | None = None
-        acc = np.empty(d, dtype=np.float64)
         for t2 in range(tau2):
             is_ckpt_block = c2 is not None and t2 == c2
-            with obs.span("edge_block", edge=self.edge_id, block=t2):
-                if tracker is not None:
-                    # Edge broadcasts w_edge to its clients (model-sized, down).
-                    tracker.record("client_edge", "down", count=n0, floats=d)
-                acc.fill(0.0)
-                entries: list[tuple[str, float, np.ndarray]] | None = \
-                    [] if defense is not None else None
-                ckpt_entries: list[tuple[str, float, np.ndarray]] = []
-                ckpt_acc = np.zeros(d, dtype=np.float64) if is_ckpt_block else None
-                upload_floats = float(d) if compressor is None else \
-                    compressor.payload_floats(d)
-                live_weight = 0.0
-                ckpt_weight = 0.0
-                block_faulted = False
-                ckpt_faulted = False
-                # Decide every client's work up front (fault decisions are
-                # pure functions of (seed, round, client), so fixing them
-                # before dispatch changes no bit) ...
-                work: list[ClientWork] = []
-                participants: list[tuple[float, Client, int, bool]] = []
-                for weight, client in zip(agg_weights, clients):
-                    steps = tau1 if not injecting else faults.client_steps(
-                        round_index, client.client_id, tau1)
-                    if steps < 1:
-                        # Dropout (or timed-out straggler): no upload at all.
-                        block_faulted = True
-                        ckpt_faulted = ckpt_faulted or is_ckpt_block
-                        continue
-                    takes_ckpt = is_ckpt_block and c1 <= steps
-                    work.append(ClientWork(client, steps,
-                                           c1 if takes_ckpt else None))
-                    participants.append((weight, client, steps, takes_ckpt))
-                # ... run the embarrassingly parallel region on the backend ...
-                results = run_local_steps(
-                    backend, engine, w_edge, work, lr=lr,
-                    projection=projection, obs=obs) if work else []
-                if timing is not None and timing.enabled:
-                    # Price the block: clients work concurrently, so the block
-                    # costs the slowest (down + compute + up) chain.
-                    with timing.parallel(f"block:{t2}" if timing.record
-                                         else None):
-                        for weight, client, steps, takes_ckpt in participants:
-                            scale = (faults.plan.straggler_slowdown
-                                     if injecting and steps < tau1 else 1.0)
-                            with timing.branch(
-                                    f"client:{client.client_id}"
-                                    if timing.record else None):
-                                timing.transfer("client_edge",
-                                                client.client_id, d)
-                                timing.compute(client.client_id, steps,
-                                               scale=scale)
-                                timing.transfer(
-                                    "client_edge", client.client_id,
-                                    upload_floats * (2 if takes_ckpt else 1))
-                # ... then post-process in client order: compression, message
-                # faults, accounting, and aggregation consume their own
-                # streams/counters exactly as the serial loop did.
-                for (weight, client, steps, takes_ckpt), result in zip(
-                        participants, results):
-                    w_end, w_c = result.w_end, result.w_checkpoint
-                    if compressor is not None:
-                        # Transmit compressed deltas against the broadcast model.
-                        w_end = w_edge + _compress(compressor, client.client_id,
-                                                   w_end - w_edge, comp_rng)
-                        if w_c is not None:
-                            w_c = w_edge + _compress(
-                                compressor, client.client_id, w_c - w_edge,
-                                comp_rng)
-                    if tracker is not None:
-                        # Client uploads its model (+ checkpoint when captured).
-                        tracker.record("client_edge", "up", count=1,
-                                       floats=upload_floats * (2 if takes_ckpt
-                                                               else 1))
-                    if injecting:
-                        delivered = faults.receive(
-                            round_index, "client_edge",
-                            f"client:{client.client_id}", w_end, w_c,
-                            floats=upload_floats * (2 if takes_ckpt else 1),
-                            tracker=tracker, ref=w_edge)
-                        if delivered is None:
-                            block_faulted = True
-                            ckpt_faulted = ckpt_faulted or is_ckpt_block
-                            continue
-                        w_end, w_c = delivered
-                    if entries is not None:
-                        entries.append(
-                            (f"client:{client.client_id}", weight, w_end))
-                        if ckpt_acc is not None:
-                            if w_c is not None:
-                                ckpt_entries.append(
-                                    (f"client:{client.client_id}", weight, w_c))
-                            else:
-                                ckpt_faulted = True
-                        continue
-                    acc += weight * w_end
-                    live_weight += weight
-                    if ckpt_acc is not None:
-                        if w_c is not None:
-                            ckpt_acc += weight * w_c
-                            ckpt_weight += weight
-                        else:
-                            # Straggler that timed out before step c1.
-                            ckpt_faulted = True
-                if tracker is not None:
-                    tracker.sync_cycle("client_edge")
-                if entries is not None:
-                    # Robust block aggregation: the installed rule replaces
-                    # the weighted client mean; both combines reference the
-                    # block's broadcast model.
-                    combined = robust_combine(
-                        defense, entries, ref=w_edge, faults=faults,
-                        round_index=round_index, link="client_edge")
-                    ckpt_combined = (None if ckpt_acc is None else
-                                     robust_combine(defense, ckpt_entries,
-                                                    ref=w_edge, faults=faults,
-                                                    round_index=round_index,
-                                                    link="client_edge"))
-                    if combined is not None:
-                        w_edge[:] = combined
-                    elif injecting:
-                        faults.degraded_round(
-                            round_index, f"edge:{self.edge_id}:block:{t2}")
-                    if ckpt_acc is not None:
-                        if ckpt_combined is not None:
-                            w_ckpt = ckpt_combined
-                        else:
-                            if injecting:
-                                faults.checkpoint_fallback(
-                                    round_index,
-                                    f"edge:{self.edge_id}:block:{t2}")
-                            w_ckpt = w_edge.copy()
-                    continue
-                if live_weight > 0.0:
-                    if block_faulted:
-                        # Renormalize over the surviving aggregation weight —
-                        # only when a fault actually removed someone, so the
-                        # healthy path's arithmetic is untouched.
-                        acc /= live_weight
-                    w_edge[:] = acc
-                elif injecting:
-                    # Zero survivors: the edge model carries over unchanged.
-                    faults.degraded_round(round_index,
-                                          f"edge:{self.edge_id}:block:{t2}")
-                if ckpt_acc is not None:
-                    if ckpt_weight > 0.0:
-                        if ckpt_faulted:
-                            ckpt_acc /= ckpt_weight
-                        w_ckpt = ckpt_acc
-                    elif injecting:
-                        # Nobody could snapshot: fall back to the block result.
-                        faults.checkpoint_fallback(
-                            round_index, f"edge:{self.edge_id}:block:{t2}")
-                        w_ckpt = w_edge.copy()
+            with ctx.obs.span("edge_block", edge=self.edge_id, block=t2):
+                # Edge broadcasts w_edge to its clients (model-sized, down).
+                ctx.tracker.record("client_edge", "down", count=n0, floats=d)
+                uploads = train_clients(
+                    ctx, clients, w_edge, steps=tau1, link="client_edge",
+                    checkpoint_after=c1 if is_ckpt_block else None,
+                    weights=agg_weights, up_floats=upload_floats,
+                    compressor=compressor, comp_rng=comp_rng,
+                    label=f"block:{t2}")
+                ctx.tracker.sync_cycle("client_edge")
+                w_edge, block_ckpt = aggregate(
+                    ctx, uploads, w_edge, link="client_edge",
+                    what=f"edge:{self.edge_id}:block:{t2}", rule=defense,
+                    checkpoint=is_ckpt_block, expected=n0)
+                if is_ckpt_block:
+                    w_ckpt = block_ckpt
         return w_edge, w_ckpt
 
     def estimate_loss(self, engine: NeuralNetwork, w: np.ndarray, *,
@@ -353,62 +204,17 @@ class EdgeServer:
         edge's score (the cloud-side clip over edge reports is blind to that —
         an attacked edge looks unanimous from above).
         """
-        injecting = faults is not None and faults.enabled
-        d = w.size
-        clients = self.clients if roster is None else list(roster)
-        if tracker is not None:
-            tracker.record("client_edge", "down", count=len(clients), floats=d)
-        reports: dict[int, float] | None = {} if loss_clip is not None else None
-        charge = timing is not None and timing.enabled
-        probed: list[int] = []
-        total = 0.0
-        replied = 0
-        for client in clients:
-            if injecting and not faults.client_available(round_index,
-                                                         client.client_id):
-                continue
-            loss = client.estimate_loss(engine, w)
-            if charge:
-                probed.append(client.client_id)
-            if tracker is not None:
-                tracker.record("client_edge", "up", count=1, floats=1)
-            if injecting:
-                delivered = faults.receive(
-                    round_index, "client_edge", f"client:{client.client_id}",
-                    loss, floats=1.0, tracker=tracker)
-                if delivered is None:
-                    continue
-                (loss,) = delivered
-            if reports is not None:
-                reports[client.client_id] = float(loss)
-            total += loss
-            replied += 1
-        if charge:
-            # Probes run concurrently: the estimate costs the slowest client's
-            # (broadcast + forward pass + scalar reply) chain.  Clients whose
-            # reply was lost in transit still did the work, so they count.
-            with timing.parallel("probe_fanout"):
-                for cid in probed:
-                    with timing.branch(f"client:{cid}" if timing.record
-                                       else None):
-                        timing.transfer("client_edge", cid, d)
-                        timing.probe(cid)
-                        timing.transfer("client_edge", cid, 1)
-        if tracker is not None:
-            tracker.sync_cycle("client_edge")
-        if replied == 0:
-            return None
-        if reports is not None:
-            clipped, ids, cap = clip_loss_reports(reports, loss_clip)
-            if ids:
-                if faults is not None:
-                    for cid in ids:
-                        faults.suspect(round_index, f"client:{cid}",
-                                       action="loss_clipped",
-                                       aggregator="loss_clip",
-                                       cap=round(cap, 6))
-                return sum(clipped.values()) / replied
-        return total / replied
+        ctx = RoundContext(round_index, engine, faults=faults, timing=timing,
+                           tracker=tracker)
+        by_id = {client.client_id: client
+                 for client in (self.clients if roster is None else roster)}
+        # Probes run concurrently: the estimate costs the slowest client's
+        # (broadcast + forward pass + scalar reply) chain.
+        replies = gather_losses(
+            ctx, "client_edge", list(by_id),
+            lambda cid: client_loss(ctx, by_id[cid], w, link="client_edge"),
+            prefix="client", down_floats=w.size, label="probe_fanout")
+        return mean_reply(ctx, replies, loss_clip, "client")
 
     def full_loss(self, engine: NeuralNetwork, w: np.ndarray) -> float:
         """Exact edge loss ``f_e(w)`` over all the area's data (theory/diagnostics)."""

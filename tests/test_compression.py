@@ -128,6 +128,23 @@ class TestTopK:
     def test_payload(self):
         assert TopKSparsifier(0.1).payload_floats(1000) == pytest.approx(150.0)
 
+    def test_state_dict_round_trip(self):
+        """Residuals survive a save/load into a fresh sparsifier."""
+        gen = np.random.default_rng(0)
+        t = TopKSparsifier(0.3, error_feedback=True)
+        t.compress_from(7, np.array([3.0, 2.0, 1.0]), gen)
+        fresh = TopKSparsifier(0.3, error_feedback=True)
+        fresh.load_state_dict(t.state_dict())
+        v = np.array([3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(fresh.compress_from(7, v, gen),
+                                      t.compress_from(7, v, gen))
+
+    def test_load_empty_state_clears_residuals(self):
+        t = TopKSparsifier(0.3, error_feedback=True)
+        t.compress_from(1, np.array([3.0, 2.0, 1.0]), np.random.default_rng(0))
+        t.load_state_dict({})
+        assert t.state_dict() == {"residuals": {}}
+
 
 class TestAlgorithmIntegration:
     def test_quantized_hierminimax_learns(self, blob_fed, blob_factory):
@@ -167,6 +184,50 @@ class TestAlgorithmIntegration:
         algo = make_algorithm("hierminimax", blob_fed, blob_factory,
                               compressor=QSGDQuantizer(8))
         assert isinstance(algo.compressor, QSGDQuantizer)
+
+    @pytest.mark.parametrize("error_feedback", [True, False])
+    def test_topk_resume_matches_uninterrupted(self, tmp_path, error_feedback):
+        """Error-feedback residuals are part of the checkpoint: 2 rounds +
+        checkpoint + a fresh instance + 2 rounds equals 4 rounds straight."""
+        fed = make_blob_fed(num_edges=4, clients_per_edge=3, seed=7)
+        factory = make_model_factory("logistic", fed.input_dim,
+                                     fed.num_classes)
+
+        def build():
+            return HierMinimax(fed, factory, eta_w=0.2, eta_p=0.01,
+                               batch_size=4, seed=7,
+                               compressor=TopKSparsifier(
+                                   0.2, error_feedback=error_feedback))
+
+        straight = build().run(rounds=4, eval_every=4).final_params
+        first = build()
+        first.run(rounds=2, eval_every=2)
+        first.save_checkpoint(tmp_path / "ckpt.json")
+        resumed = build()
+        resumed.load_checkpoint(tmp_path / "ckpt.json")
+        np.testing.assert_array_equal(
+            resumed.run(rounds=2, eval_every=2).final_params, straight)
+
+    def test_checkpoint_without_compressor_state_loads(self, tmp_path,
+                                                       blob_fed,
+                                                       blob_factory):
+        """Checkpoints written before compressor state was saved still load
+        (the residuals then start empty)."""
+        from repro.faults.checkpoint import load_checkpoint_file, \
+            save_checkpoint_file
+
+        algo = HierMinimax(blob_fed, blob_factory, batch_size=4, seed=1,
+                           compressor=TopKSparsifier(0.2))
+        algo.run(rounds=1, eval_every=1)
+        state = algo.state_dict()
+        assert "compressor" in state["extra"]
+        del state["extra"]["compressor"]
+        save_checkpoint_file(tmp_path / "old.json", state)
+        assert load_checkpoint_file(tmp_path / "old.json")
+        fresh = HierMinimax(blob_fed, blob_factory, batch_size=4, seed=1,
+                            compressor=TopKSparsifier(0.2))
+        assert fresh.load_checkpoint(tmp_path / "old.json") == 1
+        assert fresh.compressor.state_dict() == {"residuals": {}}
 
     def test_deterministic_with_compression(self, blob_fed, blob_factory):
         runs = []

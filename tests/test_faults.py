@@ -482,7 +482,7 @@ class TestInputValidation:
 
     def test_compress_requires_explicit_rng(self):
         from repro.compression import QSGDQuantizer
-        from repro.sim.edge import _compress
+        from repro.sim.round_ops import _compress
 
         with pytest.raises(ValueError, match="comp_rng"):
             _compress(QSGDQuantizer(), 0, np.ones(8), None)
