@@ -843,9 +843,11 @@ def _cmd_substrate(args) -> int:
     Gate 1 (bit-identity): one multi-step local-training dispatch — logistic
     AND MLP engines, a duplicated client (with-replacement sampling shape),
     mid-run ``checkpoint_after`` snapshots — must come back byte-identical to
-    serial from every available backend.  The vectorized backend must take
-    the batched kernel for *every* task of both models: a silent per-task
-    serial fallback fails the gate even though the bits would match.
+    serial from every available backend.  Serial's cost rule stacks these
+    small groups while thread and process run the per-task kernel, so the
+    comparison crosses kernels.  The vectorized backend must take the
+    batched kernel for *every* task of both models: a silent per-task
+    fallback fails the gate even though the bits would match.
 
     Gate 2 (fused evaluation): the fused ``accuracy_and_loss`` sweep of
     :func:`~repro.metrics.evaluation.evaluate_per_edge` must equal the

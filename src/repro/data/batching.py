@@ -48,9 +48,15 @@ class MinibatchSampler:
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Return the next (X, y) minibatch of exactly ``batch_size`` rows."""
-        n = len(self.dataset)
-        take: list[np.ndarray] = []
         need = self.batch_size
+        start = self._cursor
+        n = len(self.dataset)
+        if start + need <= n:  # within the current epoch: one slice
+            self._cursor = start + need
+            self.batches_drawn += 1
+            idx = self._order[start:start + need]
+            return self.dataset.X[idx], self.dataset.y[idx]
+        take: list[np.ndarray] = []
         while need > 0:
             available = n - self._cursor
             if available == 0:

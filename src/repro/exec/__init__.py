@@ -5,20 +5,28 @@ randomness is fixed; this package makes *where* they run a strategy object
 (:class:`~repro.exec.base.ExecutionBackend`) chosen per run:
 
 ========== =================================================================
-``serial``      the reference implementation (default); defines the bits
-``thread``      worker threads over per-thread engine clones (GIL released
-                inside NumPy/BLAS kernels)
+``serial``      the default, in-process: per dispatch group of same-shape
+                tasks, the stacked kernel where the cost rule says it wins
+                (two or more tasks whose stacked parameters fit
+                :data:`STACK_BUDGET` — the convex runs' small logistic
+                groups), the per-task kernel otherwise
+``thread``      worker threads over per-thread engine clones, per-task
+                kernel (GIL released inside NumPy/BLAS kernels)
 ``process``     persistent worker-process pool; weights broadcast once per
                 dispatch via shared memory, tasks ship sampler-state tokens
-``vectorized``  same-shape clients stacked into one batched matmul kernel
+``vectorized``  ``serial`` with an "always stack" rule: every eligible group
                 (Linear/ReLU/Tanh stacks with softmax cross-entropy — both
-                paper models; serial fallback otherwise)
+                paper models) on the stacked kernel, per-task otherwise
 ========== =================================================================
 
-Every backend is bit-identical to ``serial`` for a fixed seed — see the
-determinism contract in :mod:`repro.exec.base`.  Select one with
-``backend=``/``--backend`` or the ``REPRO_BACKEND`` / ``REPRO_WORKERS``
-environment variables.
+The per-task kernel :func:`run_local_steps_kernel` defines the bits; the
+stacked kernel (:mod:`repro.exec.stacked`) reproduces them exactly, so every
+backend and every cost-rule choice is bit-identical for a fixed seed — see the
+determinism contract in :mod:`repro.exec.base`.  The rule is derived from the
+regime grid committed in ``BENCH_substrate.json`` (see
+:meth:`SerialBackend.stacks`).  Select a backend with ``backend=``/
+``--backend`` or the ``REPRO_BACKEND`` / ``REPRO_WORKERS`` environment
+variables.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from repro.exec.base import (
     LocalStepsTask,
     run_local_steps_kernel,
 )
-from repro.exec.serial import SERIAL_BACKEND, SerialBackend
+from repro.exec.serial import SERIAL_BACKEND, STACK_BUDGET, SerialBackend
 from repro.exec.threads import ThreadBackend, default_worker_count
 from repro.exec.vectorized import VectorizedBackend
 from repro.exec.dispatch import (
@@ -45,6 +53,7 @@ from repro.exec.procs import ProcessBackend
 __all__ = [
     "ExecutionBackend", "LocalStepsTask", "LocalStepsResult",
     "run_local_steps_kernel", "SerialBackend", "SERIAL_BACKEND",
+    "STACK_BUDGET",
     "ThreadBackend", "ProcessBackend", "VectorizedBackend",
     "default_worker_count", "ClientWork", "run_local_steps",
     "sampler_state_token", "restore_sampler_state",

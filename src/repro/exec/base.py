@@ -8,8 +8,8 @@ are fixed.  An :class:`ExecutionBackend` receives fully-formed, pre-seeded
 
 Determinism contract
 --------------------
-For a fixed seed every backend must produce *bit-identical* outputs to
-:class:`~repro.exec.serial.SerialBackend`:
+For a fixed seed every backend must produce *bit-identical* outputs to the
+per-task kernel :func:`run_local_steps_kernel` run task by task:
 
 * Minibatch randomness is consumed *before* dispatch (in the main process, in
   task order) — either by pre-drawing the batches into the task
@@ -21,7 +21,9 @@ For a fixed seed every backend must produce *bit-identical* outputs to
 * The SGD arithmetic itself is the pure kernel
   :func:`run_local_steps_kernel` — identical floating-point operations in
   identical order regardless of which engine object (main, per-thread clone,
-  per-process replica) executes them.
+  per-process replica) executes them — or the stacked kernel
+  (:mod:`repro.exec.stacked`), which replays those operations for a whole
+  group with one leading client axis.
 * Results are returned in task order, so downstream aggregation, compression,
   fault filtering, and communication accounting happen in the same order as a
   serial run.
@@ -169,8 +171,9 @@ def run_local_steps_kernel(engine: NeuralNetwork, w_start: np.ndarray,
     params = engine.params_view()
     w_checkpoint: np.ndarray | None = None
     for t1, (X, y) in enumerate(batches):
-        _, grad = engine.loss_and_gradient(X, y)
-        params -= lr * grad
+        grad = engine.gradient(X, y)  # the engine's live gradient buffer
+        grad *= lr  # == lr * grad, without a parameter-sized temporary
+        params -= grad
         if projection is not identity_projection:
             params[:] = projection(params)
         if checkpoint_after is not None and t1 + 1 == checkpoint_after:

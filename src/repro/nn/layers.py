@@ -57,10 +57,10 @@ class ParamSpec:
 class Layer:
     """Base class: stateless shape-in/shape-out transform with optional parameters."""
 
-    #: Vocabulary tag of the cross-client batched kernel
-    #: (:class:`repro.exec.vectorized.VectorizedBackend`).  ``None`` (the
-    #: default) marks the layer ineligible — engines containing it take the
-    #: serial fallback.  Subclasses whose forward/backward can be replayed
+    #: Vocabulary tag of the cross-client stacked kernel
+    #: (:mod:`repro.exec.stacked`).  ``None`` (the default) marks the layer
+    #: ineligible — engines containing it always run the per-task kernel.
+    #: Subclasses whose forward/backward can be replayed
     #: with one leading client axis declare their kind ("linear", "relu",
     #: "tanh", "identity"); a third-party layer must opt in explicitly, so an
     #: unknown backward can never be silently vectorized wrong.
@@ -154,12 +154,18 @@ class Linear(Layer):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         """Accumulate ``gW``/``gb`` and return the input gradient."""
+        self.backward_params(grad_out)
+        return grad_out @ self.W.T
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        """:meth:`backward` minus the input gradient, which a first layer's
+        caller never reads (looked up non-inherited by
+        :meth:`~repro.nn.network.NeuralNetwork.gradient`, like ``vector_kind``)."""
         if self._x is None:
             raise RuntimeError("backward() called before a train-mode forward()")
         self.gW += self._x.T @ grad_out
         if self.use_bias:
             self.gb += grad_out.sum(axis=0)
-        return grad_out @ self.W.T
 
     def output_dim(self, input_dim: int) -> int:
         """Validate the input dim and return ``out_features``."""

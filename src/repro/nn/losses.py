@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.numerics import log_softmax, one_hot, softmax
+from repro.ops.numerics import log_softmax, one_hot, softmax_xent_grad
 
-__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError"]
+__all__ = ["Loss", "SoftmaxCrossEntropy", "MeanSquaredError",
+           "check_class_targets"]
 
 
 class Loss:
@@ -43,11 +44,7 @@ class SoftmaxCrossEntropy(Loss):
         logits = np.asarray(logits, dtype=np.float64)
         targets = np.asarray(targets)
         _check_classification_shapes(logits, targets)
-        batch = targets.shape[0]
-        grad = softmax(logits, axis=1)
-        grad[np.arange(batch), targets] -= 1.0
-        grad /= batch
-        return grad
+        return softmax_xent_grad(logits, targets)
 
     def forward_per_sample(self, logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Per-sample losses (used by loss-estimation in Phase 2 diagnostics)."""
@@ -85,9 +82,18 @@ def _check_classification_shapes(logits: np.ndarray, targets: np.ndarray) -> Non
     if targets.ndim != 1 or targets.shape[0] != logits.shape[0]:
         raise ValueError(
             f"targets must be (batch,) matching logits {logits.shape}, got {targets.shape}")
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
+    check_class_targets(targets, logits.shape[1])
+
+
+def check_class_targets(targets: np.ndarray, classes: int) -> None:
+    """Raise ``ValueError`` unless every integer label lies in ``[0, classes)``.
+
+    Shared by the per-task loss and the stacked kernel, which checks a whole
+    ``(clients, batch)`` label block per step with the same message.
+    """
+    if targets.size and (targets.min() < 0 or targets.max() >= classes):
         raise ValueError(
-            f"targets out of range for {logits.shape[1]} classes: "
+            f"targets out of range for {classes} classes: "
             f"[{targets.min()}, {targets.max()}]")
 
 

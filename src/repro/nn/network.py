@@ -12,6 +12,9 @@ Key operations
     Copy-out / copy-in of the flat parameter vector.
 ``loss_and_gradient(X, y)``
     One fused forward+backward over a minibatch; returns (scalar loss, flat grad).
+``gradient(X, y)``
+    The same flat gradient, bit for bit, without the loss value, left in the
+    live gradient buffer (the SGD step).
 ``loss(X, y) / accuracy(X, y) / predict(X)``
     Evaluation-mode passes (no caching).
 ``clone()``
@@ -121,7 +124,8 @@ class NeuralNetwork:
         return self._params
 
     def grads_view(self) -> np.ndarray:
-        """The live flat gradient buffer (filled by :meth:`loss_and_gradient`)."""
+        """The live flat gradient buffer (filled by :meth:`loss_and_gradient`
+        and :meth:`gradient`)."""
         return self._grads
 
     def zero_grad(self) -> None:
@@ -152,15 +156,44 @@ class NeuralNetwork:
         """
         logits = self.forward(X, train=True)
         value = self.loss_fn.forward(logits, y)
-        self.zero_grad()
-        grad = self.loss_fn.backward(logits, y)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        flat = self._grads.copy()
+        flat = self._backward(logits, y).copy()
         if self.l2:
             value += 0.5 * self.l2 * float(self._params @ self._params)
-            flat += self.l2 * self._params
         return value, flat
+
+    def gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Flat minibatch gradient alone, bit-identical to ``loss_and_gradient``'s.
+
+        The local-SGD step discards the loss value, so this skips computing
+        it (the forward loss's log-softmax and mean, and its second label
+        check).  Returns the live gradient buffer (:meth:`grads_view`), L2
+        term included, not a copy: the step scales and applies it in place,
+        with no parameter-sized temporaries.  The next pass overwrites it;
+        copy it to keep it.
+        """
+        return self._backward(self.forward(X, train=True), y)
+
+    def _backward(self, logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Fill the gradient buffer from a train-mode forward's logits.
+
+        Adds the L2 term in place and returns the buffer.  The first layer's
+        input gradient is never read; a layer class that defines its own
+        ``backward_params`` (exact class, not inherited — a subclass may
+        override ``backward``) skips computing it.
+        """
+        self.zero_grad()
+        grad = self.loss_fn.backward(logits, y)
+        layers = self.layers
+        for layer in reversed(layers[1:]):
+            grad = layer.backward(grad)
+        first = layers[0]
+        if "backward_params" in type(first).__dict__:
+            first.backward_params(grad)
+        else:
+            first.backward(grad)
+        if self.l2:
+            self._grads += self.l2 * self._params
+        return self._grads
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Argmax class prediction for each row of ``X``."""

@@ -17,7 +17,8 @@ exact     relative error ≤ 1e-9 (deterministic floats: sim seconds,
           accuracies — machine-independent by construction)
 ratio     one-sided: current ≥ (1 − tol) × baseline, tol 0.35 by
           default (backend speedups are noisy; only collapses fail,
-          improvements always pass)
+          improvements always pass) — or current ≥ ``floor`` when the
+          baseline metric declares an absolute ``floor``
 seconds   informational only — wall-clock is machine-dependent and
           never gates
 ========  ============================================================
@@ -90,19 +91,27 @@ def normalize_metrics(metrics: Mapping[str, Any]) -> dict:
     """Coerce ``{name: value}`` / ``{name: {value, kind}}`` into file form.
 
     Bare values default to kind ``"exact"``; unknown kinds raise so typos in
-    a bench don't silently change the gating rule.
+    a bench don't silently change the gating rule.  A ``ratio`` may carry an
+    absolute ``floor`` that replaces the tolerance rule.
     """
     out: dict[str, dict] = {}
     for name, spec in metrics.items():
+        floor = None
         if isinstance(spec, Mapping):
             kind = str(spec.get("kind", "exact"))
             value = spec["value"]
+            floor = spec.get("floor")
         else:
             kind, value = "exact", spec
         if kind not in KINDS:
             raise ValueError(
                 f"metric {name!r}: unknown kind {kind!r} (one of {KINDS})")
         out[name] = {"value": float(value), "kind": kind}
+        if floor is not None:
+            if kind != "ratio":
+                raise ValueError(
+                    f"metric {name!r}: only ratio metrics take a floor")
+            out[name]["floor"] = float(floor)
     return out
 
 
@@ -131,7 +140,7 @@ def load_bench(path: str | Path) -> dict:
 
 
 def _check_one(name: str, kind: str, base: float, cur: float,
-               ratio_tol: float) -> MetricCheck:
+               ratio_tol: float, floor: float | None = None) -> MetricCheck:
     if kind == "seconds":
         return MetricCheck(name, kind, base, cur, "info",
                            "wall-clock; informational only")
@@ -148,11 +157,15 @@ def _check_one(name: str, kind: str, base: float, cur: float,
         return MetricCheck(name, kind, base, cur, "fail",
                            f"relative error {rel:.2e} > {EXACT_REL_TOL:g}")
     # ratio: one-sided lower bound; higher is always fine.
-    floor = (1.0 - ratio_tol) * base
+    if floor is not None:
+        rule = "the declared floor"
+    else:
+        floor = (1.0 - ratio_tol) * base
+        rule = f"(1-{ratio_tol:g}) x baseline"
     if cur >= floor:
         return MetricCheck(name, kind, base, cur, "ok")
     return MetricCheck(name, kind, base, cur, "fail",
-                       f"below {floor:.3f} (= (1-{ratio_tol:g}) x baseline)")
+                       f"below {floor:.3f} (= {rule})")
 
 
 def compare_bench(baseline: Mapping[str, Any], current: Mapping[str, Any], *,
@@ -180,7 +193,7 @@ def compare_bench(baseline: Mapping[str, Any], current: Mapping[str, Any], *,
                                       f"{kind!r} -> {c['kind']!r}"))
             continue
         checks.append(_check_one(name, kind, b["value"], c["value"],
-                                 ratio_tol))
+                                 ratio_tol, b.get("floor")))
     return PerfCheckResult(
         bench=str(baseline.get("bench", current.get("bench", "?"))),
         checks=tuple(checks))

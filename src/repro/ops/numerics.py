@@ -11,6 +11,7 @@ import numpy as np
 __all__ = [
     "softmax",
     "log_softmax",
+    "softmax_xent_grad",
     "logsumexp",
     "one_hot",
     "clip_by_norm",
@@ -34,6 +35,25 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(shifted, out=shifted)
     shifted /= np.sum(shifted, axis=axis, keepdims=True)
     return shifted
+
+
+def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Fused cross-entropy gradient ``(softmax(logits) − onehot(targets)) / B``.
+
+    ``logits`` is ``(..., B, C)`` and ``targets`` the matching ``(..., B)``
+    integer labels; every leading axis is an independent problem (the stacked
+    client axis of the batched kernel).  One stack of ``n`` problems yields,
+    slice by slice, the same bits as ``n`` separate 2-D calls: softmax reduces
+    along the last axis and the one-hot subtraction and the ``/ B`` are
+    elementwise.  Labels are not validated here; callers check them once.
+    """
+    grad = softmax(logits, axis=-1)
+    if targets.ndim == 1:
+        grad[np.arange(targets.shape[0]), targets] -= 1.0
+    else:
+        grad[(*np.indices(targets.shape, sparse=True), targets)] -= 1.0
+    grad /= targets.shape[-1]
+    return grad
 
 
 def log_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

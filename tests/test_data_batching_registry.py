@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.batching import MinibatchSampler
 from repro.data.dataset import Dataset
@@ -74,6 +76,50 @@ class TestMinibatchSampler:
     def test_rejects_bad_batch_size(self):
         with pytest.raises(ValueError):
             MinibatchSampler(_ds(), 0, np.random.default_rng(0))
+
+
+def _reference_next_batch(sampler):
+    """The general wrap-around draw, without the in-epoch fast path."""
+    n = len(sampler.dataset)
+    take = []
+    need = sampler.batch_size
+    while need > 0:
+        available = n - sampler._cursor
+        if available == 0:
+            sampler._order = sampler._rng.permutation(n)
+            sampler._cursor = 0
+            available = n
+        step = min(need, available)
+        take.append(sampler._order[sampler._cursor:sampler._cursor + step])
+        sampler._cursor += step
+        need -= step
+    idx = take[0] if len(take) == 1 else np.concatenate(take)
+    sampler.batches_drawn += 1
+    return sampler.dataset.X[idx], sampler.dataset.y[idx]
+
+
+class TestNextBatchFastPath:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), extra=st.integers(0, 12),
+           draws=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_draws_match_general_path(self, n, extra, draws, seed):
+        """The single-slice fast path draws exactly what the general
+        wrap-around loop draws, for batch sizes 1 … n+1 and across many
+        epoch boundaries (RNG consumption included)."""
+        batch_size = 1 + extra % (n + 1)
+        fast = MinibatchSampler(_ds(n, seed=seed), batch_size,
+                                np.random.default_rng(seed))
+        ref = MinibatchSampler(_ds(n, seed=seed), batch_size,
+                               np.random.default_rng(seed))
+        for _ in range(draws):
+            Xf, yf = fast.next_batch()
+            Xr, yr = _reference_next_batch(ref)
+            np.testing.assert_array_equal(Xf, Xr)
+            np.testing.assert_array_equal(yf, yr)
+        assert fast._cursor == ref._cursor
+        assert fast.batches_drawn == ref.batches_drawn == draws
+        np.testing.assert_array_equal(fast._order, ref._order)
+        assert fast._rng.random() == ref._rng.random()
 
 
 class TestRegistry:

@@ -3,7 +3,9 @@
 The contract under test is the one in :mod:`repro.exec.base`: for a fixed seed
 every backend — serial, thread, process, vectorized — produces *bit-identical*
 results, including under fault injection and across a checkpoint/resume cycle.
-The serial backend defines the bits; the others must reproduce them exactly.
+The per-task kernel :func:`run_local_steps_kernel` defines the bits; the
+stacked kernel is held to it directly (``TestStackedKernel``), and the
+backends that pick between the two are held to each other.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ from repro.utils.rng import (
 )
 
 BACKENDS = ("serial", "thread", "process", "vectorized")
+#: The in-process backends: serial (cost rule), thread (per-task kernel),
+#: vectorized (always stack).
+IN_PROCESS = ("serial", "thread", "vectorized")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -100,6 +105,168 @@ def assert_results_identical(ref, got):
     assert ref.comm.total_bytes == got.comm.total_bytes
     assert ref.rounds_run == got.rounds_run
     assert ref.slots_run == got.slots_run
+
+
+def make_tasks(engine, n, *, batch=4, steps=2, checkpoint_after=None,
+               projection=None, seed=0, labels=None, width=None):
+    """``n`` same-shape tasks with pre-drawn random batches."""
+    from repro.exec.base import LocalStepsTask
+    from repro.ops.projections import identity_projection
+
+    rng = np.random.default_rng(seed)
+    width = engine.input_dim if width is None else width
+    tasks = []
+    for i in range(n):
+        batches = []
+        for _ in range(steps):
+            y = (rng.integers(0, engine.output_dim, size=batch)
+                 if labels is None else np.asarray(labels))
+            batches.append((rng.normal(size=(batch, width)), y))
+        tasks.append(LocalStepsTask(
+            index=i, client_id=i, steps=steps, lr=0.1,
+            checkpoint_after=checkpoint_after,
+            projection=projection or identity_projection, batches=batches))
+    return tasks
+
+
+# ------------------------------------------------------------ stacked kernel
+class TestStackedKernel:
+    """The stacked kernel against the per-task kernel, with no backend in
+    between — so the reference never depends on which kernel a backend's
+    cost rule happens to pick."""
+
+    @staticmethod
+    def _engine(model, l2):
+        from repro.nn.layers import Linear, Tanh
+        from repro.nn.network import NeuralNetwork
+
+        if model == "tanh":
+            engine = NeuralNetwork([Linear(12, 6), Tanh(), Linear(6, 4)],
+                                   input_dim=12, l2=l2)
+        else:
+            engine = make_model_factory(model, 12, 4, hidden=(6, 5),
+                                        l2=l2)()
+        engine.initialize(3)
+        return engine
+
+    @pytest.mark.parametrize("model", ("logistic", "mlp", "tanh"))
+    @pytest.mark.parametrize("l2", (0.0, 1e-2))
+    @pytest.mark.parametrize("ckpt", (None, 1, 3))
+    @pytest.mark.parametrize("batch", (1, 8))
+    def test_matches_per_task_kernel_bitwise(self, model, l2, ckpt, batch):
+        from repro.exec.stacked import run_stacked_kernel
+
+        engine = self._engine(model, l2)
+        w0 = engine.get_params()
+        tasks = make_tasks(engine, 4, batch=batch, steps=3,
+                           checkpoint_after=ckpt, seed=batch)
+        got = run_stacked_kernel(engine, w0, tasks)
+        np.testing.assert_array_equal(engine.get_params(), w0)  # untouched
+        for task, (w_end, w_ckpt) in zip(tasks, got):
+            ref_end, ref_ckpt = run_local_steps_kernel(
+                engine, w0, task.batches, lr=task.lr,
+                checkpoint_after=ckpt)
+            assert w_end.tobytes() == ref_end.tobytes()
+            if ckpt is None:
+                assert w_ckpt is None
+            else:
+                assert w_ckpt.tobytes() == ref_ckpt.tobytes()
+
+
+class TestStackedInputChecks:
+    """Regression: the stacked kernel trained silently on invalid labels
+    (a label of -1 indexed the last class) and crashed with IndexError on a
+    label equal to the class count.  Every in-process backend now rejects
+    both with the per-task loss's ValueError."""
+
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    @pytest.mark.parametrize("labels", ([0, 1, -1, 2], [0, 3, 1, 2]),
+                             ids=("negative", "equal-to-classes"))
+    def test_out_of_range_labels_raise(self, name, labels):
+        engine = make_model_factory("logistic", 5, 3)()
+        w0 = engine.get_params()
+        tasks = make_tasks(engine, 3, labels=labels)
+        with make_backend(name, workers=2) as b:
+            with pytest.raises(ValueError, match="targets out of range"):
+                b.run_tasks(engine, w0, tasks)
+
+    @pytest.mark.parametrize("name", IN_PROCESS)
+    def test_wrong_input_width_raises(self, name):
+        engine = make_model_factory("logistic", 5, 3)()
+        w0 = engine.get_params()
+        tasks = make_tasks(engine, 3, width=6)
+        with make_backend(name, workers=2) as b:
+            with pytest.raises(ValueError, match=r"input must be \(batch, 5\)"):
+                b.run_tasks(engine, w0, tasks)
+
+
+class TestDefaultDispatch:
+    """The default backend's cost rule: which groups it stacks."""
+
+    @staticmethod
+    def _run(engine, tasks, backend=None):
+        from repro.obs import Tracer
+
+        tracer = Tracer(None)
+        backend = backend or SerialBackend()
+        w0 = engine.get_params()
+        got = backend.run_tasks(engine, w0, tasks, obs=tracer)
+        counters = tracer.snapshot()["counters"]
+        tracer.close()
+        for task, g in zip(tasks, got):
+            w_end, _ = run_local_steps_kernel(
+                engine, w0, task.batches, lr=task.lr,
+                projection=task.projection)
+            assert g.w_end.tobytes() == w_end.tobytes()
+        return counters
+
+    def test_stacks_a_logistic_group(self):
+        engine = make_model_factory("logistic", 8, 3)()
+        counters = self._run(engine, make_tasks(engine, 3))
+        assert counters["exec_tasks_total"] == 3
+        assert counters["exec_vectorized_tasks_total"] == 3
+
+    def test_single_task_runs_per_task(self):
+        engine = make_model_factory("logistic", 8, 3)()
+        counters = self._run(engine, make_tasks(engine, 1))
+        assert counters["exec_vectorized_tasks_total"] == 0
+        counters = self._run(engine, make_tasks(engine, 1),
+                             VectorizedBackend())
+        assert counters["exec_vectorized_tasks_total"] == 1
+
+    def test_non_batchable_engine_runs_per_task(self):
+        from repro.nn.layers import Linear, ReLU
+        from repro.nn.network import NeuralNetwork
+
+        class CustomReLU(ReLU):  # no vector_kind of its own
+            pass
+
+        engine = NeuralNetwork([Linear(8, 4), CustomReLU(), Linear(4, 3)],
+                               input_dim=8, rng=0)
+        counters = self._run(engine, make_tasks(engine, 3))
+        assert counters["exec_vectorized_tasks_total"] == 0
+
+    def test_non_identity_projection_runs_per_task(self):
+        from functools import partial
+
+        from repro.ops.projections import project_l2_ball
+
+        engine = make_model_factory("logistic", 8, 3)()
+        tasks = make_tasks(engine, 3,
+                           projection=partial(project_l2_ball, radius=0.5))
+        counters = self._run(engine, tasks)
+        assert counters["exec_vectorized_tasks_total"] == 0
+
+    def test_group_over_budget_runs_per_task(self):
+        from repro.exec import STACK_BUDGET
+
+        engine = make_model_factory("logistic", 784, 10)()
+        n = STACK_BUDGET // engine.num_parameters + 1
+        assert not SerialBackend().stacks(engine, n)
+        assert SerialBackend().stacks(engine, n - 1)
+        assert VectorizedBackend().stacks(engine, n)
+        counters = self._run(engine, make_tasks(engine, n, batch=1, steps=1))
+        assert counters["exec_vectorized_tasks_total"] == 0
 
 
 # ------------------------------------------------------------ rng token utils

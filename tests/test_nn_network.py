@@ -5,10 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, ReLU
+from repro.nn.layers import Identity, Linear, ReLU, Tanh
 from repro.nn.losses import MeanSquaredError
 from repro.nn.models import logistic_regression, make_model_factory, mlp
 from repro.nn.network import NeuralNetwork
+
+
+def _full_backward_gradient(net, X, y):
+    """Every layer's backward, a copy of the buffer, then the L2 term."""
+    logits = net.forward(X, train=True)
+    net.zero_grad()
+    grad = net.loss_fn.backward(logits, y)
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad)
+    flat = net.grads_view().copy()
+    if net.l2:
+        flat += net.l2 * net.params_view()
+    return flat
 
 
 class TestConstruction:
@@ -155,6 +168,64 @@ class TestPasses:
         net = logistic_regression(2, 2, rng=0)
         with pytest.raises(ValueError):
             net.accuracy_and_loss(np.zeros((0, 2)), np.array([], dtype=int))
+
+    @pytest.mark.parametrize("build", [
+        lambda: logistic_regression(7, 3, rng=1),
+        lambda: logistic_regression(7, 3, rng=1, l2=1e-2),
+        lambda: mlp(7, (5, 4), 3, rng=2),
+        lambda: mlp(7, (5,), 3, rng=2, l2=1e-3),
+        lambda: NeuralNetwork([Linear(7, 4), Tanh(), Linear(4, 3)],
+                              input_dim=7, rng=3),
+        lambda: NeuralNetwork([Identity(), Linear(7, 3)], input_dim=7,
+                              rng=4),
+        lambda: NeuralNetwork([Linear(7, 3)], input_dim=7,
+                              loss=MeanSquaredError(), rng=5),
+    ], ids=["logistic", "logistic-l2", "mlp", "mlp-l2", "tanh",
+            "identity-first", "mse"])
+    @pytest.mark.parametrize("batch", [1, 6])
+    def test_gradient_only_matches_loss_and_gradient(self, build, batch):
+        """The SGD step's gradient-only pass (and the fused pass) equal a
+        plain full backward bit for bit — loss value skipped, first-layer
+        input gradient skipped, L2 added in place, labels checked once."""
+        net = build()
+        gen = np.random.default_rng(batch)
+        X = gen.normal(size=(batch, 7))
+        if isinstance(net.loss_fn, MeanSquaredError):
+            y = gen.normal(size=(batch, 3))
+        else:
+            y = gen.integers(0, 3, size=batch)
+        ref = _full_backward_gradient(net, X, y)
+        _, fused = net.loss_and_gradient(X, y)
+        assert fused.tobytes() == ref.tobytes()
+        got = net.gradient(X, y)
+        assert got.tobytes() == ref.tobytes()
+        assert got is net.grads_view()  # live buffer: the step scales it
+
+    def test_gradient_only_keeps_label_and_shape_checks(self):
+        net = logistic_regression(4, 3, rng=0)
+        X = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="targets out of range"):
+            net.gradient(X, np.array([0, 3]))
+        with pytest.raises(ValueError, match="targets out of range"):
+            net.gradient(X, np.array([-1, 0]))
+        with pytest.raises(ValueError, match="input must be"):
+            net.gradient(np.zeros((2, 5)), np.array([0, 1]))
+
+    def test_overridden_backward_is_not_bypassed(self):
+        """A Linear subclass with its own backward keeps it as the first
+        layer: the input-gradient skip is read off the exact class."""
+        calls = []
+
+        class LoggedLinear(Linear):
+            def backward(self, grad_out):
+                calls.append(grad_out.shape)
+                return super().backward(grad_out)
+
+        net = NeuralNetwork([LoggedLinear(4, 3)], input_dim=4, rng=0)
+        X, y = np.ones((2, 4)), np.array([0, 2])
+        ref = _full_backward_gradient(net, X, y)
+        assert net.gradient(X, y).tobytes() == ref.tobytes()
+        assert len(calls) == 2
 
     def test_custom_loss(self):
         net = NeuralNetwork([Linear(2, 2)], input_dim=2, rng=0,

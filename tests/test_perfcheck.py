@@ -118,6 +118,28 @@ class TestCompare:
                                ratio_tol=0.01)
         assert [c.name for c in result.failures] == ["vectorized_speedup"]
 
+    def test_declared_floor_replaces_tolerance(self):
+        """A ratio with an absolute floor gates on it, not on (1-tol)×value."""
+        base = {"bench": "demo", "metrics": {
+            "default_vs_per_task": {"value": 2.0, "kind": "ratio",
+                                    "floor": 0.95}}}
+
+        def row(value):
+            cur = {"metrics": {"default_vs_per_task": {
+                "value": value, "kind": "ratio"}}}
+            return compare_bench(base, cur).checks[0]
+
+        assert row(0.96).status == "ok"  # far below (1-0.35)×2.0 = 1.3
+        failed = row(0.94)
+        assert failed.status == "fail" and "declared floor" in failed.detail
+
+    def test_floor_only_on_ratios(self):
+        with pytest.raises(ValueError, match="only ratio metrics"):
+            normalize_metrics({"x": {"value": 1, "kind": "counter",
+                                     "floor": 1}})
+        assert normalize_metrics({"r": {"value": 1, "kind": "ratio",
+                                        "floor": 0.5}})["r"]["floor"] == 0.5
+
     def test_seconds_never_gate(self):
         row = self.check(variant(wall_s=1e6), "wall_s")
         assert row.status == "info" and not row.gating
