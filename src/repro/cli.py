@@ -78,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
                       default=(0.0, 0.2, 0.4, 0.6))
 
     p_trace = sub.add_parser("trace-report",
-                             help="analyze a JSONL trace from repro.obs")
+                             help="analyze a JSONL trace from repro.obs "
+                                  "(exit 1 on a comm-replay mismatch or an "
+                                  "unbalanced ledger)")
     p_trace.add_argument("trace", help="path to a .trace.jsonl file")
     p_trace.add_argument("--timeline", type=int, default=5,
                          help="rounds to show at each end of the timeline")
@@ -360,7 +362,7 @@ def _cmd_trace_report(args) -> int:
     except BrokenPipeError:
         # Output piped into head/less and the pager closed early: not an error.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0 if report.replay_consistent else 1
+    return 0 if report.replay_consistent and report.ledgers_balanced else 1
 
 
 def _follow_events(args) -> list:

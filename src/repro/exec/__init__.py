@@ -83,6 +83,19 @@ def available_backends() -> list[str]:
     return ["serial", "thread", "process", "vectorized"]
 
 
+def _env_number(var: str, parse):
+    """``parse`` applied to environment variable ``var`` (``None`` when unset
+    or blank); a malformed value raises a :class:`ValueError` naming both."""
+    raw = os.environ.get(var, "").strip()
+    if not raw:
+        return None
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ValueError(f"{var}={raw!r} is not a valid "
+                         f"{parse.__name__}") from None
+
+
 def make_backend(name: str, workers: int | None = None) -> ExecutionBackend:
     """Instantiate a backend by name (``workers`` applies to pooled ones)."""
     key = _ALIASES.get(str(name).strip().lower())
@@ -91,9 +104,8 @@ def make_backend(name: str, workers: int | None = None) -> ExecutionBackend:
             f"unknown execution backend {name!r}; "
             f"choose from {available_backends()}")
     if key in _POOLED:
-        env_timeout = os.environ.get(TIMEOUT_ENV, "").strip()
-        timeout_s = float(env_timeout) if env_timeout else None
-        return _POOLED[key](workers=workers, timeout_s=timeout_s)
+        return _POOLED[key](workers=workers,
+                            timeout_s=_env_number(TIMEOUT_ENV, float))
     if key == "vectorized":
         return VectorizedBackend()
     return SERIAL_BACKEND if workers in (None, 0, 1) else SerialBackend()
@@ -113,7 +125,5 @@ def resolve_backend(spec: "ExecutionBackend | str | None" = None,
     if spec is None:
         spec = os.environ.get(BACKEND_ENV, "").strip() or "serial"
     if workers is None:
-        env_workers = os.environ.get(WORKERS_ENV, "").strip()
-        if env_workers:
-            workers = int(env_workers)
+        workers = _env_number(WORKERS_ENV, int)
     return make_backend(spec, workers)

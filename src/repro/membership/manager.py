@@ -240,7 +240,11 @@ class MembershipManager:
         self.active = set(compress(self._client_ids, self._active_mask))
         self._index_homes()
         self._bound = True
-        # The ledger's opening balance: the initial active population.
+        self._open_ledger()
+
+    def _open_ledger(self) -> None:
+        """The ledger's opening balance: the active population a run (or a
+        resumed run) starts from."""
         self._emit(-1, "population", "run", total=len(self._client_ids))
 
     # --------------------------------------------------------------- queries
@@ -485,7 +489,9 @@ class MembershipManager:
 
         An empty dict (a checkpoint written before the membership layer
         existed, or by a run without churn) keeps the bind-time topology, so
-        stale checkpoints resume cleanly.
+        stale checkpoints resume cleanly.  A restored topology re-opens the
+        ledger at the restored active count, so a resumed run's segment of a
+        concatenated trace balances on its own.
         """
         if not state or not self.enabled:
             return
@@ -499,6 +505,7 @@ class MembershipManager:
             np.asarray(self._client_ids, dtype=np.int64),
             np.fromiter(self.active, dtype=np.int64, count=len(self.active)))
         self._index_homes()
+        self._open_ledger()
 
 
 def resolve_membership(churn, *, obs=None):

@@ -12,37 +12,29 @@ trace written by :class:`~repro.obs.tracer.Tracer` and reports
   attaches to its spans — these must match the live
   :class:`~repro.topology.comm.CommSnapshot` of the run,
 * the round timeline (duration and traffic of each cloud round),
-* the fault ledger replayed from ``fault`` events written by
-  :class:`~repro.faults.FaultInjector` — injected failures versus the
-  recoveries the run survived, in total and per round,
-* the byzantine ledger replayed from ``attack``/``defense`` events — uploads
-  tampered by the :class:`~repro.defense.AttackPlan` versus the rejections
-  and clips the installed :class:`~repro.defense.DefensePolicy` took,
-* the membership ledger replayed from ``membership`` events written by
-  :class:`~repro.membership.MembershipManager` — client arrivals and
-  departures, edge crash/recover episodes, re-homings and partition heals,
-  with a joined/left balance check against the population delta,
-* the invariant ledger replayed from ``invariant`` events written by an
-  attached :class:`~repro.invariants.InvariantMonitor` — which runtime
-  invariants were violated, when, and why,
-* the resilience ledger replayed from the crash-recovery machinery's events —
-  supervised-executor retries and pool respawns (``exec_retry`` /
-  ``worker_respawn``), checkpoint generation fallbacks
-  (``checkpoint_fallback``), detected shard corruption
-  (``shard_corrupt_detected``), and injected ``chaos`` kill-points — and
+* one ledger per cross-cutting layer, replayed from its ``log`` events as
+  declared in :func:`ledger_table`: faults injected versus recovered,
+  byzantine uploads tampered versus filtered, membership transitions (whose
+  joined − left balance must equal each run's population change), runtime
+  invariant violations, and crash-recovery actions versus injected chaos
+  kill-points — and
 * the final metrics snapshot (counters / gauges / histograms).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping
+from string import Formatter
+from typing import Any, Collection, Iterable, Iterator, Mapping, NamedTuple
 
-__all__ = ["TraceReport", "RoundRecord", "load_trace", "analyze_trace",
+__all__ = ["TraceReport", "RoundRecord", "Ledger", "LedgerTally", "Law",
+           "ledger_table", "load_trace", "analyze_trace",
            "format_trace_report", "follow_trace", "PHASE_SPANS"]
 
 #: Span names treated as "phases" in the breakdown, in display order.
@@ -90,44 +82,22 @@ class TraceReport:
     sim_time_s: float = 0.0        # simulated seconds across the trace's runs
     metrics: Mapping[str, Any] = field(default_factory=dict)
     meta: Mapping[str, Any] = field(default_factory=dict)
-    fault_totals: Mapping[str, int] = field(default_factory=dict)
-    faults_by_round: Mapping[int, Mapping[str, int]] = field(
-        default_factory=dict)
-    attack_totals: Mapping[str, int] = field(default_factory=dict)
-    defense_totals: Mapping[str, int] = field(default_factory=dict)
-    byzantine_by_round: Mapping[int, Mapping[str, int]] = field(
-        default_factory=dict)
-    membership_totals: Mapping[str, int] = field(default_factory=dict)
-    membership_by_round: Mapping[int, Mapping[str, int]] = field(
-        default_factory=dict)
-    #: Population before round 0 (from the ``population`` ledger entry; -1
-    #: when the trace has no membership events).
-    membership_initial: int = -1
-    #: Population after the last membership transition (-1 when absent).
-    membership_final: int = -1
-    #: Violations per invariant check name (``invariant`` events).
-    invariant_totals: Mapping[str, int] = field(default_factory=dict)
-    #: Replayed violation records ``(round, check, message)``, in file order.
-    invariant_records: tuple = ()
-    #: Recovery machinery actions per event kind (``exec_retry``,
-    #: ``worker_respawn``, ``checkpoint_fallback``, ``shard_corrupt_detected``,
-    #: ``chaos``).
-    resilience_totals: Mapping[str, int] = field(default_factory=dict)
+    #: Every declared ledger's replay, keyed by :attr:`Ledger.name`.
+    ledgers: Mapping[str, "LedgerTally"] = field(default_factory=dict)
     #: Recorded per-round timing trees (``sim_tree`` attrs of ``cloud_round``
     #: spans) — input of :mod:`repro.obs.critical_path`.
     sim_trees: tuple = ()
     #: Heartbeat progress records replayed from the trace, in file order.
     heartbeats: tuple = ()
 
-    @property
-    def attacks_injected(self) -> int:
-        """Total tampered uploads replayed from ``attack`` events."""
-        return sum(self.attack_totals.values())
+    def ledger(self, name: str) -> "LedgerTally":
+        """The replay of ledger ``name`` declared in :func:`ledger_table`."""
+        return self.ledgers[name]
 
     @property
-    def attacks_filtered(self) -> int:
-        """Total defense actions (rejections, clips) from ``defense`` events."""
-        return sum(self.defense_totals.values())
+    def ledgers_balanced(self) -> bool:
+        """Does every declared balance law hold in every run segment?"""
+        return all(tally.balanced for tally in self.ledgers.values())
 
     @property
     def total_bytes(self) -> float:
@@ -144,48 +114,6 @@ class TraceReport:
         """Replayed cycles on the cloud-facing links (the theory's measure)."""
         return sum(v for k, v in self.comm_cycles.items()
                    if k in ("edge_cloud", "client_cloud", "level_1"))
-
-    @property
-    def members_joined(self) -> int:
-        """Total client arrivals replayed from the ``membership`` ledger."""
-        return self.membership_totals.get("joined", 0)
-
-    @property
-    def members_left(self) -> int:
-        """Total client departures replayed from the ``membership`` ledger."""
-        return self.membership_totals.get("left", 0)
-
-    @property
-    def membership_net_delta(self) -> int:
-        """Population change across the trace (final − initial active set).
-
-        The ledger balances when this equals ``members_joined −
-        members_left``; 0 when the trace carries no membership events.
-        """
-        if self.membership_initial < 0 or self.membership_final < 0:
-            return 0
-        return self.membership_final - self.membership_initial
-
-    @property
-    def invariant_violations(self) -> int:
-        """Total invariant violations replayed from ``invariant`` events."""
-        return sum(self.invariant_totals.values())
-
-    @property
-    def recovery_actions(self) -> int:
-        """Total crash-recovery actions (retries, respawns, fallbacks)."""
-        return sum(n for k, n in self.resilience_totals.items() if k != "chaos")
-
-    @property
-    def faults_injected(self) -> int:
-        """Total injected failures (dropouts, outages, lost/corrupt messages)."""
-        return sum(n for k, n in self.fault_totals.items()
-                   if not _is_recovery(k))
-
-    @property
-    def faults_recovered(self) -> int:
-        """Total recovery actions (retries that succeeded, fallbacks, bans)."""
-        return sum(n for k, n in self.fault_totals.items() if _is_recovery(k))
 
 
 def load_trace(path: str | Path, *, strict: bool = False) -> list[dict]:
@@ -233,12 +161,8 @@ def follow_trace(path: str | Path, *, poll_s: float = 0.5,
             chunk = fh.read()
             if chunk:
                 idle_s = 0.0
-                buf += chunk
-                while True:
-                    nl = buf.find("\n")
-                    if nl < 0:
-                        break
-                    line, buf = buf[:nl].strip(), buf[nl + 1:]
+                *complete, buf = (buf + chunk).split("\n")
+                for line in map(str.strip, complete):
                     if not line:
                         continue
                     try:
@@ -257,19 +181,175 @@ def follow_trace(path: str | Path, *, poll_s: float = 0.5,
                 idle_s += poll_s
 
 
-def _merge_numeric(into: dict, frm: Mapping, cast=float) -> None:
-    for k, v in frm.items():
-        into[k] = cast(into.get(k, 0)) + cast(v)
+#: Comm snapshot parts and the numeric type each accumulates in.
+_COMM_PARTS = {"cycles": int, "messages": int, "floats": float}
 
 
-def _is_recovery(kind: str) -> bool:
-    """Is this ``fault`` event kind a recovery (vs an injected failure)?
+def _merge_comm(into: Mapping[str, dict], snapshot: Mapping) -> None:
+    for part, cast in _COMM_PARTS.items():
+        for k, v in snapshot.get(part, {}).items():
+            into[part][k] = cast(into[part].get(k, 0)) + cast(v)
 
-    Imported lazily: :mod:`repro.faults` depends on :mod:`repro.obs` for its
-    event plumbing, so the reverse import must not happen at module load.
+
+# ---------------------------------------------------------------- ledgers
+class Law(NamedTuple):
+    """Balance law ``plus − minus == Δlevel``, checked per run segment: each
+    ``opens`` entry (a run's opening balance, or a resumed run's restored
+    one) starts a segment at its ``level`` field, and every later event
+    carrying ``level`` moves that segment's closing level."""
+
+    plus: str
+    minus: str
+    level: str
+    opens: str
+
+
+@dataclass(frozen=True)
+class Ledger:
+    """One row of :func:`ledger_table`: how a layer's ``log`` events replay.
+
+    ``kinds`` maps each tallied log kind to the event field naming an entry
+    (``""``: the kind itself).  An event counts toward ``sides[1]`` when its
+    boolean ``flag`` field says so or, lacking it, when its kind or entry is
+    in ``second``; else toward ``sides[0]``.  ``labels`` tag listed entries
+    by side.  ``headline`` parts are formatted with the entry counts, side
+    totals, ``total``, ``entries`` and ``rounds`` (rounds with an entry);
+    parts after the first appear only when a count they name is nonzero.
+    ``timeline`` titles the per-round timeline, whose cells ``round_cell``
+    formats from a side (or entry) ``key`` and its count ``n``; ``records``
+    = (field, noun) lists every event with that field.
     """
+
+    name: str
+    kinds: Mapping[str, str]
+    headline: tuple[str, ...]
+    sides: tuple[str, str] | tuple[()] = ()
+    second: Collection[str] = ()
+    flag: str = ""
+    labels: tuple[str, str] | tuple[()] = ()
+    law: Law | None = None
+    timeline: str = ""
+    round_cell: str = "{n:4d} {key}"
+    records: tuple[str, str] | tuple[()] = ()
+
+
+@functools.cache
+def ledger_table() -> tuple[Ledger, ...]:
+    """The ledger table: every layer's ``log`` events and how the report
+    replays them.  A new layer adds a row here, not report code."""
+    # Imported here: repro.faults depends on repro.obs for its events.
     from repro.faults.injector import RECOVERY_KINDS
-    return kind in RECOVERY_KINDS
+
+    return (
+        Ledger("faults", {"fault": "fault"},
+               ("faults: {injected} injected, {recovered} recovery actions, "
+                "{rounds} rounds affected",),
+               sides=("injected", "recovered"), second=RECOVERY_KINDS,
+               flag="recovery", labels=("injected", "recovery"),
+               timeline="fault"),
+        Ledger("byzantine", {"attack": "attack", "defense": "action"},
+               ("byzantine: {attacked} attacked uploads, {filtered} "
+                "filtered/clipped, {rounds} rounds affected",),
+               sides=("attacked", "filtered"), second=("defense",),
+               labels=("attack", "defense"), timeline="byzantine"),
+        Ledger("membership", {"membership": "action"},
+               ("membership: {joined} joined, {left} left, {re-homed} "
+                "re-homed, {edge_crash} edge crashes, {edge_recover} "
+                "recoveries",),
+               law=Law("joined", "left", level="active", opens="population"),
+               timeline="membership", round_cell="{n} {key}"),
+        Ledger("invariants", {"invariant": "check"},
+               ("invariants: {total} violation(s) across {entries} "
+                "check(s)",),
+               records=("message", "violation records")),
+        Ledger("resilience",
+               dict.fromkeys(("exec_retry", "worker_respawn",
+                              "checkpoint_fallback", "shard_corrupt_detected",
+                              "chaos"), ""),
+               ("resilience: {recovery} recovery action(s)",
+                ", {injected} injected kill-point(s)"),
+               sides=("recovery", "injected"), second=("chaos",)),
+    )
+
+
+@dataclass
+class LedgerTally:
+    """One :class:`Ledger` replayed from a trace (:meth:`TraceReport.ledger`).
+
+    ``totals`` counts events per entry, ``sides`` per side, ``by_round`` per
+    round (rounds ≥ 0) and side — or entry, for a ledger without sides.
+    ``segments`` holds ``[opening level, closing level, plus − minus]`` per
+    run segment of the ledger's :class:`Law` (a trace whose first events
+    carry no opening entry starts one at the first level it sees).
+    """
+
+    spec: Ledger
+    totals: dict[str, int] = field(default_factory=dict)
+    sides: dict[str, int] = field(init=False)
+    entry_sides: dict[str, str] = field(default_factory=dict)
+    by_round: dict[int, dict[str, int]] = field(default_factory=dict)
+    records: list[tuple[int, str, str]] = field(default_factory=list)
+    segments: list[list] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.sides = dict.fromkeys(self.spec.sides, 0)
+
+    def add(self, kind: str, fields: Mapping[str, Any]) -> None:
+        """Tally one ``log`` event of one of the ledger's kinds."""
+        spec, law = self.spec, self.spec.law
+        entry = (str(fields.get(spec.kinds[kind], "?"))
+                 if spec.kinds[kind] else kind)
+        self.totals[entry] = self.totals.get(entry, 0) + 1
+        rnd = int(fields.get("round", -1))
+        key = entry
+        if spec.sides:
+            second = fields.get(spec.flag) if spec.flag else None
+            if second is None:
+                second = kind in spec.second or entry in spec.second
+            key = spec.sides[bool(second)]
+            self.sides[key] += 1
+            self.entry_sides[entry] = key
+        if rnd >= 0:
+            slot = self.by_round.setdefault(rnd, dict.fromkeys(self.sides, 0))
+            slot[key] = slot.get(key, 0) + 1
+        if spec.records:
+            self.records.append(
+                (rnd, entry, str(fields.get(spec.records[0], ""))))
+        if law:
+            level = fields.get(law.level)
+            if level is not None:
+                if entry == law.opens or not self.segments:
+                    self.segments.append([int(level), int(level), 0])
+                self.segments[-1][1] = int(level)
+            if self.segments:
+                self.segments[-1][2] += ((entry == law.plus)
+                                         - (entry == law.minus))
+
+    @property
+    def total(self) -> int:
+        """Events tallied across all entries."""
+        return sum(self.totals.values())
+
+    @property
+    def initial(self) -> int:
+        """Opening level of the first run segment (-1 without one)."""
+        return self.segments[0][0] if self.segments else -1
+
+    @property
+    def final(self) -> int:
+        """Closing level of the last run segment (-1 without one)."""
+        return self.segments[-1][1] if self.segments else -1
+
+    @property
+    def unbalanced(self) -> list[tuple[int, list]]:
+        """``(index, segment)`` of every run segment whose law fails."""
+        return [(i, seg) for i, seg in enumerate(self.segments)
+                if seg[2] != seg[1] - seg[0]]
+
+    @property
+    def balanced(self) -> bool:
+        """Does the ledger's law (if any) hold in every run segment?"""
+        return not self.unbalanced
 
 
 def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
@@ -278,32 +358,17 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
               else list(source))
     span_totals: dict[str, dict] = {}
     rounds: list[RoundRecord] = []
-    delta_cycles: dict[str, int] = {}
-    delta_messages: dict[str, int] = {}
-    delta_floats: dict[str, float] = {}
-    final_cycles: dict[str, int] = {}
-    final_messages: dict[str, int] = {}
-    final_floats: dict[str, float] = {}
+    deltas: dict[str, dict] = {part: {} for part in _COMM_PARTS}
+    finals: dict[str, dict] = {part: {} for part in _COMM_PARTS}
     have_final = False
     sim_total = 0.0
     sim_from_rounds = 0.0
     have_sim_final = False
     metrics: Mapping[str, Any] = {}
     meta: Mapping[str, Any] = {}
-    fault_totals: dict[str, int] = {}
-    faults_by_round: dict[int, dict[str, int]] = {}
-    attack_totals: dict[str, int] = {}
-    defense_totals: dict[str, int] = {}
-    byzantine_by_round: dict[int, dict[str, int]] = {}
-    membership_totals: dict[str, int] = {}
-    membership_by_round: dict[int, dict[str, int]] = {}
-    membership_initial = -1
-    membership_final = -1
-    invariant_totals: dict[str, int] = {}
-    invariant_records: list[tuple] = []
-    resilience_totals: dict[str, int] = {}
-    resilience_kinds = ("exec_retry", "worker_respawn", "checkpoint_fallback",
-                        "shard_corrupt_detected", "chaos")
+    ledgers = {spec.name: LedgerTally(spec) for spec in ledger_table()}
+    routes = {kind: tally for tally in ledgers.values()
+              for kind in tally.spec.kinds}
     sim_trees: list = []
     heartbeats: list[dict] = []
     for ev in events:
@@ -314,56 +379,8 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
             metrics = ev.get("data", metrics)
         elif kind == "log" and ev.get("kind") == "heartbeat":
             heartbeats.append(ev.get("fields", {}))
-        elif kind == "log" and ev.get("kind") == "fault":
-            fields = ev.get("fields", {})
-            fault = str(fields.get("fault", "?"))
-            fault_totals[fault] = fault_totals.get(fault, 0) + 1
-            rnd = int(fields.get("round", -1))
-            slot = faults_by_round.setdefault(
-                rnd, {"injected": 0, "recovered": 0})
-            recovery = fields.get("recovery")
-            if recovery is None:
-                recovery = _is_recovery(fault)
-            slot["recovered" if recovery else "injected"] += 1
-        elif kind == "log" and ev.get("kind") == "attack":
-            fields = ev.get("fields", {})
-            attack = str(fields.get("attack", "?"))
-            attack_totals[attack] = attack_totals.get(attack, 0) + 1
-            rnd = int(fields.get("round", -1))
-            slot = byzantine_by_round.setdefault(
-                rnd, {"attacked": 0, "filtered": 0})
-            slot["attacked"] += 1
-        elif kind == "log" and ev.get("kind") == "membership":
-            fields = ev.get("fields", {})
-            action = str(fields.get("action", "?"))
-            membership_totals[action] = membership_totals.get(action, 0) + 1
-            rnd = int(fields.get("round", -1))
-            slot = membership_by_round.setdefault(rnd, {})
-            slot[action] = slot.get(action, 0) + 1
-            active = fields.get("active")
-            if active is not None:
-                # The opening `population` entry sets the baseline; every
-                # later transition carries the post-transition head count.
-                if action == "population" or membership_initial < 0:
-                    membership_initial = int(active)
-                membership_final = int(active)
-        elif kind == "log" and ev.get("kind") == "invariant":
-            fields = ev.get("fields", {})
-            check = str(fields.get("check", "?"))
-            invariant_totals[check] = invariant_totals.get(check, 0) + 1
-            invariant_records.append((int(fields.get("round", -1)), check,
-                                      str(fields.get("message", ""))))
-        elif kind == "log" and ev.get("kind") in resilience_kinds:
-            key = str(ev.get("kind"))
-            resilience_totals[key] = resilience_totals.get(key, 0) + 1
-        elif kind == "log" and ev.get("kind") == "defense":
-            fields = ev.get("fields", {})
-            action = str(fields.get("action", "?"))
-            defense_totals[action] = defense_totals.get(action, 0) + 1
-            rnd = int(fields.get("round", -1))
-            slot = byzantine_by_round.setdefault(
-                rnd, {"attacked": 0, "filtered": 0})
-            slot["filtered"] += 1
+        elif kind == "log" and ev.get("kind") in routes:
+            routes[ev["kind"]].add(ev["kind"], ev.get("fields", {}))
         elif kind == "span":
             name = ev.get("name", "?")
             slot = span_totals.setdefault(name, {"count": 0, "total_s": 0.0})
@@ -374,9 +391,7 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
                 if "sim_tree" in attrs:
                     sim_trees.append(attrs["sim_tree"])
                 comm = attrs.get("comm", {})
-                _merge_numeric(delta_cycles, comm.get("cycles", {}), int)
-                _merge_numeric(delta_messages, comm.get("messages", {}), int)
-                _merge_numeric(delta_floats, comm.get("floats", {}), float)
+                _merge_comm(deltas, comm)
                 sim_s = float(attrs.get("sim_s", 0.0))
                 sim_from_rounds += sim_s
                 rounds.append(RoundRecord(
@@ -392,22 +407,15 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
                 if "comm_total" in attrs:
                     # Run-final snapshots accumulate across the trace's runs.
                     have_final = True
-                    total = attrs["comm_total"]
-                    _merge_numeric(final_cycles, total.get("cycles", {}), int)
-                    _merge_numeric(final_messages, total.get("messages", {}),
-                                   int)
-                    _merge_numeric(final_floats, total.get("floats", {}),
-                                   float)
+                    _merge_comm(finals, attrs["comm_total"])
                 if "sim_total_s" in attrs:
                     have_sim_final = True
                     sim_total += float(attrs["sim_total_s"])
     # Prefer the exact run-final snapshots; fall back to summed round deltas.
-    cycles = final_cycles if have_final else delta_cycles
-    messages = final_messages if have_final else delta_messages
-    floats = final_floats if have_final else delta_floats
+    comm = finals if have_final else deltas
     replay_consistent = (not have_final) or _consistent(
-        delta_cycles, final_cycles) and _consistent(
-        delta_floats, final_floats, rel=1e-9)
+        deltas["cycles"], finals["cycles"]) and _consistent(
+        deltas["floats"], finals["floats"], rel=1e-9)
     run_total = span_totals.get("run", {}).get("total_s", 0.0)
     phase_times = {p: span_totals.get(p, {}).get("total_s", 0.0)
                    for p in PHASE_SPANS}
@@ -420,25 +428,14 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
         phase_times=phase_times,
         phase_coverage=coverage,
         rounds=tuple(rounds),
-        comm_cycles=dict(cycles),
-        comm_messages=dict(messages),
-        comm_floats=dict(floats),
+        comm_cycles=comm["cycles"],
+        comm_messages=comm["messages"],
+        comm_floats=comm["floats"],
         replay_consistent=replay_consistent,
         sim_time_s=sim_total if have_sim_final else sim_from_rounds,
         metrics=metrics,
         meta=meta,
-        fault_totals=fault_totals,
-        faults_by_round=faults_by_round,
-        attack_totals=attack_totals,
-        defense_totals=defense_totals,
-        byzantine_by_round=byzantine_by_round,
-        membership_totals=membership_totals,
-        membership_by_round=membership_by_round,
-        membership_initial=membership_initial,
-        membership_final=membership_final,
-        invariant_totals=invariant_totals,
-        invariant_records=tuple(invariant_records),
-        resilience_totals=resilience_totals,
+        ledgers=ledgers,
         sim_trees=tuple(sim_trees),
         heartbeats=tuple(heartbeats),
     )
@@ -469,17 +466,15 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
         Show at most this many rounds from the start and end of the timeline
         (0 hides the timeline section).
     """
-    lines: list[str] = []
     algos = sorted({r.algorithm for r in report.rounds})
-    lines.append(f"trace: {report.events} events, {len(report.rounds)} rounds"
-                 + (f", {len(report.heartbeats)} heartbeats"
-                    if report.heartbeats else "")
-                 + (f", algorithms: {', '.join(algos)}" if algos else ""))
+    lines = [f"trace: {report.events} events, {len(report.rounds)} rounds"
+             + (f", {len(report.heartbeats)} heartbeats"
+                if report.heartbeats else "")
+             + (f", algorithms: {', '.join(algos)}" if algos else "")]
     if report.meta:
         lines.append(f"meta : {json.dumps(dict(report.meta), sort_keys=True)}")
-    lines.append("")
-    lines.append(f"run wall-clock        : {report.run_total_s:.3f} s "
-                 f"(phases cover {report.phase_coverage:.1%})")
+    lines += ["", f"run wall-clock        : {report.run_total_s:.3f} s "
+                  f"(phases cover {report.phase_coverage:.1%})"]
     if report.sim_time_s > 0.0:
         lines.append(f"simulated time        : {report.sim_time_s:.3f} s "
                      f"(virtual clock; cost-model makespan)")
@@ -496,14 +491,12 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
         s = other[name]
         lines.append(f"  {name:<22s} {s['total_s']:10.3f} s   (nested; "
                      f"{int(s['count'])} spans)")
-    lines.append("")
-    lines.append("communication (replayed"
-                 + ("" if report.replay_consistent
-                    else "; WARNING: deltas disagree with final snapshot")
-                 + "):")
-    lines.append(f"  total cycles          : {report.total_cycles}")
-    lines.append(f"  edge-cloud cycles     : {report.edge_cloud_cycles}")
-    lines.append(f"  total traffic         : {report.total_bytes / 1e6:.3f} MB")
+    lines += ["", "communication (replayed"
+              + ("" if report.replay_consistent
+                 else "; WARNING: deltas disagree with final snapshot") + "):",
+              f"  total cycles          : {report.total_cycles}",
+              f"  edge-cloud cycles     : {report.edge_cloud_cycles}",
+              f"  total traffic         : {report.total_bytes / 1e6:.3f} MB"]
     for key in sorted(report.comm_floats):
         mb = report.comm_floats[key] * _BYTES_PER_FLOAT / 1e6
         msgs = report.comm_messages.get(key, 0)
@@ -512,135 +505,18 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
         # Imported lazily to keep the module dependency one-way.
         from repro.obs.critical_path import (analyze_critical_paths,
                                              format_critical_path)
-        lines.append("")
-        lines.append(format_critical_path(
-            analyze_critical_paths(report.sim_trees), timeline=timeline))
+        lines += ["", format_critical_path(
+            analyze_critical_paths(report.sim_trees), timeline=timeline)]
     if timeline > 0 and report.rounds:
-        lines.append("")
-        lines.append("round timeline:")
-        shown = list(report.rounds)
-        if len(shown) > 2 * timeline:
-            head, tail = shown[:timeline], shown[-timeline:]
-            gap = len(shown) - 2 * timeline
-        else:
-            head, tail, gap = shown, [], 0
-        for r in head:
-            lines.append(_round_line(r))
-        if gap:
-            lines.append(f"  … {gap} rounds elided …")
-            for r in tail:
-                lines.append(_round_line(r))
-    if report.fault_totals:
-        lines.append("")
-        lines.append(f"faults: {report.faults_injected} injected, "
-                     f"{report.faults_recovered} recovery actions, "
-                     f"{len(report.faults_by_round)} rounds affected")
-        for label, pick in (("injected", lambda k: not _is_recovery(k)),
-                            ("recovery", _is_recovery)):
-            for kind in sorted(k for k in report.fault_totals if pick(k)):
-                lines.append(f"  {kind:<22s} {report.fault_totals[kind]:6d}  "
-                             f"({label})")
-        by_round = sorted(report.faults_by_round.items())
-        if timeline > 0 and by_round:
-            lines.append("fault timeline:")
-            if len(by_round) > 2 * timeline:
-                head, tail = by_round[:timeline], by_round[-timeline:]
-                gap = len(by_round) - 2 * timeline
-            else:
-                head, tail, gap = by_round, [], 0
-            for rnd, slot in head:
-                lines.append(_fault_round_line(rnd, slot))
-            if gap:
-                lines.append(f"  … {gap} rounds elided …")
-                for rnd, slot in tail:
-                    lines.append(_fault_round_line(rnd, slot))
-    if report.attack_totals or report.defense_totals:
-        lines.append("")
-        lines.append(f"byzantine: {report.attacks_injected} attacked uploads, "
-                     f"{report.attacks_filtered} filtered/clipped, "
-                     f"{len(report.byzantine_by_round)} rounds affected")
-        for kind in sorted(report.attack_totals):
-            lines.append(f"  {kind:<22s} {report.attack_totals[kind]:6d}  "
-                         f"(attack)")
-        for action in sorted(report.defense_totals):
-            lines.append(f"  {action:<22s} {report.defense_totals[action]:6d}  "
-                         f"(defense)")
-        by_round = sorted(report.byzantine_by_round.items())
-        if timeline > 0 and by_round:
-            lines.append("byzantine timeline:")
-            if len(by_round) > 2 * timeline:
-                head, tail = by_round[:timeline], by_round[-timeline:]
-                gap = len(by_round) - 2 * timeline
-            else:
-                head, tail, gap = by_round, [], 0
-            for rnd, slot in head:
-                lines.append(_byz_round_line(rnd, slot))
-            if gap:
-                lines.append(f"  … {gap} rounds elided …")
-                for rnd, slot in tail:
-                    lines.append(_byz_round_line(rnd, slot))
-    if report.membership_totals:
-        lines.append("")
-        balance = report.members_joined - report.members_left
-        lines.append(
-            f"membership: {report.members_joined} joined, "
-            f"{report.members_left} left, "
-            f"{report.membership_totals.get('re-homed', 0)} re-homed, "
-            f"{report.membership_totals.get('edge_crash', 0)} edge crashes, "
-            f"{report.membership_totals.get('edge_recover', 0)} recoveries")
-        if report.membership_initial >= 0:
-            lines.append(
-                f"  population            : {report.membership_initial} -> "
-                f"{report.membership_final} "
-                f"(net {report.membership_net_delta:+d}; ledger "
-                + ("balanced" if balance == report.membership_net_delta
-                   else f"IMBALANCED: joined-left={balance:+d}") + ")")
-        for action in sorted(report.membership_totals):
-            if action == "population":
-                continue
-            lines.append(f"  {action:<22s} "
-                         f"{report.membership_totals[action]:6d}")
-        by_round = sorted(r for r in report.membership_by_round if r >= 0)
-        if timeline > 0 and by_round:
-            lines.append("membership timeline:")
-            if len(by_round) > 2 * timeline:
-                head, tail = by_round[:timeline], by_round[-timeline:]
-                gap = len(by_round) - 2 * timeline
-            else:
-                head, tail, gap = by_round, [], 0
-            for rnd in head:
-                lines.append(_membership_round_line(
-                    rnd, report.membership_by_round[rnd]))
-            if gap:
-                lines.append(f"  … {gap} rounds elided …")
-                for rnd in tail:
-                    lines.append(_membership_round_line(
-                        rnd, report.membership_by_round[rnd]))
-    if report.invariant_totals:
-        lines.append("")
-        lines.append(f"invariants: {report.invariant_violations} violation(s) "
-                     f"across {len(report.invariant_totals)} check(s)")
-        for check in sorted(report.invariant_totals):
-            lines.append(f"  {check:<22s} {report.invariant_totals[check]:6d}")
-        for rnd, check, message in report.invariant_records[:2 * timeline]:
-            lines.append(f"  round {rnd:>5d}  {check}: {message}")
-        elided = len(report.invariant_records) - 2 * timeline
-        if timeline > 0 and elided > 0:
-            lines.append(f"  … {elided} violation records elided …")
-    if report.resilience_totals:
-        lines.append("")
-        chaos_n = report.resilience_totals.get("chaos", 0)
-        lines.append(f"resilience: {report.recovery_actions} recovery "
-                     f"action(s)"
-                     + (f", {chaos_n} injected kill-point(s)" if chaos_n
-                        else ""))
-        for kind in sorted(report.resilience_totals):
-            lines.append(f"  {kind:<22s} {report.resilience_totals[kind]:6d}")
+        lines += ["", "round timeline:"] + _elide(
+            report.rounds, timeline, timeline, _round_line, "rounds")
+    for tally in report.ledgers.values():
+        if tally.totals:
+            lines += _ledger_lines(tally, timeline)
     counters = report.metrics.get("counters", {}) if report.metrics else {}
     gauges = report.metrics.get("gauges", {}) if report.metrics else {}
     if counters or gauges:
-        lines.append("")
-        lines.append("metrics:")
+        lines += ["", "metrics:"]
         for k in sorted(counters):
             lines.append(f"  {k:<22s} {counters[k]:g}")
         for k in sorted(gauges):
@@ -648,19 +524,62 @@ def format_trace_report(report: TraceReport, *, timeline: int = 5) -> str:
     return "\n".join(lines)
 
 
-def _byz_round_line(rnd: int, slot: Mapping[str, int]) -> str:
-    return (f"  round {rnd:>5d}  {slot.get('attacked', 0):4d} attacked  "
-            f"{slot.get('filtered', 0):4d} filtered")
+def _elide(items, head: int, tail: int, render, noun: str) -> list[str]:
+    """``render`` each item, or only the first ``head`` and last ``tail``
+    around a marker counting the elided ``noun``."""
+    items = list(items)
+    if len(items) <= head + tail:
+        return [render(item) for item in items]
+    return ([render(item) for item in items[:head]]
+            + [f"  … {len(items) - head - tail} {noun} elided …"]
+            + [render(item) for item in items[len(items) - tail:]])
 
 
-def _membership_round_line(rnd: int, slot: Mapping[str, int]) -> str:
-    parts = "  ".join(f"{slot[a]} {a}" for a in sorted(slot))
-    return f"  round {rnd:>5d}  {parts}"
+def _headline(parts: tuple[str, ...], counts: Counter) -> str:
+    """The first part, then each later part naming a nonzero count."""
+    return parts[0].format_map(counts) + "".join(
+        part.format_map(counts) for part in parts[1:]
+        if any(counts[name] for _, name, _, _ in Formatter().parse(part)
+               if name))
 
 
-def _fault_round_line(rnd: int, slot: Mapping[str, int]) -> str:
-    return (f"  round {rnd:>5d}  {slot.get('injected', 0):4d} injected  "
-            f"{slot.get('recovered', 0):4d} recovered")
+def _ledger_lines(tally: LedgerTally, timeline: int) -> list[str]:
+    """One ledger's report section, rendered from its :class:`Ledger` row."""
+    spec, law = tally.spec, tally.spec.law
+    counts = Counter({**tally.totals, **tally.sides, "total": tally.total,
+                      "entries": len(tally.totals),
+                      "rounds": len(tally.by_round)})
+    lines = ["", _headline(spec.headline, counts)]
+    if law and tally.segments:
+        verdict, unbalanced = "balanced", tally.unbalanced
+        if unbalanced:
+            index, (opened, closed, delta) = unbalanced[0]
+            verdict = f"IMBALANCED: {law.plus}-{law.minus}={delta:+d}"
+            if len(tally.segments) > 1:
+                verdict += (f" vs net {closed - opened:+d} in segment "
+                            f"{index + 1} of {len(tally.segments)}")
+        lines.append(f"  {law.opens:<22s}: {tally.initial} -> {tally.final} "
+                     f"(net {tally.final - tally.initial:+d}; "
+                     f"ledger {verdict})")
+    listed = sorted(e for e in tally.totals if not law or e != law.opens)
+    groups = zip(spec.sides, spec.labels) if spec.labels else [(None, "")]
+    for side, label in groups:
+        lines += [f"  {entry:<22s} {tally.totals[entry]:6d}"
+                  + (f"  ({label})" if label else "")
+                  for entry in listed
+                  if side is None or tally.entry_sides[entry] == side]
+    if timeline > 0 and spec.timeline and tally.by_round:
+        lines.append(f"{spec.timeline} timeline:")
+        lines += _elide(
+            sorted(tally.by_round.items()), timeline, timeline,
+            lambda row: f"  round {row[0]:>5d}  " + "  ".join(
+                spec.round_cell.format(n=n, key=key)
+                for key, n in sorted(row[1].items())), "rounds")
+    if timeline > 0 and spec.records:
+        lines += _elide(tally.records, 2 * timeline, 0,
+                        lambda rec: f"  round {rec[0]:>5d}  {rec[1]}: "
+                                    f"{rec[2]}", spec.records[1])
+    return lines
 
 
 def _round_line(r: RoundRecord) -> str:

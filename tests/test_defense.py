@@ -435,9 +435,10 @@ class TestAttackAndRecovery:
                      defense="trimmed_mean,trim=0.3", obs=obs).run(
                 rounds=5, eval_every=5)
         report = analyze_trace(path)
-        assert report.attacks_injected > 0
-        assert report.attacks_filtered > 0
-        assert report.byzantine_by_round
+        byzantine = report.ledger("byzantine")
+        assert byzantine.sides["attacked"] > 0
+        assert byzantine.sides["filtered"] > 0
+        assert byzantine.by_round
         text = format_trace_report(report)
         assert "byzantine:" in text
         assert "attacked" in text
@@ -449,7 +450,7 @@ class TestAttackAndRecovery:
             make_hmm(blob_fed, blob_factory, obs=obs).run(rounds=2,
                                                           eval_every=2)
         report = analyze_trace(path)
-        assert not report.attack_totals
+        assert not report.ledger("byzantine").totals
         assert "byzantine:" not in format_trace_report(report)
 
     def test_loss_clip_damps_inflated_minimax_weights(self, blob_fed,

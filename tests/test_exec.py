@@ -648,6 +648,11 @@ class TestResolveBackend:
         b = SerialBackend()
         assert resolve_backend(b, workers=7) is b
 
+    def test_malformed_workers_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "abc")
+        with pytest.raises(ValueError, match=r"REPRO_WORKERS='abc'"):
+            resolve_backend("serial")
+
     @pytest.mark.parametrize("alias,cls", [
         ("threads", ThreadBackend), ("mp", ProcessBackend),
         ("vec", VectorizedBackend), ("sync", SerialBackend)])

@@ -442,9 +442,10 @@ class TestFaultTraceReport:
                      faults=FaultPlan(client_dropout=0.4, edge_outage=0.2,
                                       seed=7)).run(rounds=5, eval_every=5)
         report = analyze_trace(path)
-        assert report.fault_totals
-        assert report.faults_injected > 0
-        assert report.faults_by_round
+        faults = report.ledger("faults")
+        assert faults.totals
+        assert faults.sides["injected"] > 0
+        assert faults.by_round
         text = format_trace_report(report)
         assert "faults:" in text
         assert "injected" in text
@@ -456,7 +457,7 @@ class TestFaultTraceReport:
             make_hmm(blob_fed, blob_factory, obs=obs).run(rounds=2,
                                                           eval_every=2)
         report = analyze_trace(path)
-        assert not report.fault_totals
+        assert not report.ledger("faults").totals
         assert "faults:" not in format_trace_report(report)
 
 

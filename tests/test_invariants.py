@@ -160,14 +160,17 @@ class TestReportIntegration:
                          reason="worker_death", resubmitted=1)
             tracer.event("chaos", site="worker_kill", occurrence=1, pid=123)
         report = analyze_trace(path)
-        assert report.invariant_violations == 2
-        assert report.invariant_totals == {"simplex_weights": 1,
-                                           "finite_model": 1}
+        invariants = report.ledger("invariants")
+        resilience = report.ledger("resilience")
+        assert invariants.total == 2
+        assert invariants.totals == {"simplex_weights": 1,
+                                     "finite_model": 1}
         assert (3, "simplex_weights",
-                "mixing weights sum to 1.3") in report.invariant_records
-        assert report.resilience_totals == {"exec_retry": 1,
-                                            "worker_respawn": 1, "chaos": 1}
-        assert report.recovery_actions == 2  # injected chaos doesn't count
+                "mixing weights sum to 1.3") in invariants.records
+        assert resilience.totals == {"exec_retry": 1,
+                                     "worker_respawn": 1, "chaos": 1}
+        # injected chaos doesn't count as a recovery
+        assert resilience.sides["recovery"] == 2
         text = format_trace_report(report)
         assert "invariants:" in text and "simplex_weights" in text
         assert "resilience:" in text and "worker_respawn" in text
@@ -176,6 +179,6 @@ class TestReportIntegration:
         path = tmp_path / "clean.jsonl"
         run(fed, factory, obs=Tracer(str(path), invariants=True))
         report = analyze_trace(path)
-        assert report.invariant_violations == 0
-        assert report.recovery_actions == 0
+        assert report.ledger("invariants").total == 0
+        assert report.ledger("resilience").sides["recovery"] == 0
         assert "invariants:" not in format_trace_report(report)

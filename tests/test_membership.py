@@ -426,6 +426,21 @@ class TestResumeAcrossFailover:
 
 
 # ------------------------------------------------------------------- ledger
+@pytest.fixture(scope="module")
+def churned_roster_trace(tmp_path_factory):
+    """One trace of three churned algorithm runs sharing a tracer."""
+    from repro.experiments.presets import fig3_preset
+    from repro.experiments.runner import run_experiment
+
+    path = tmp_path_factory.mktemp("roster") / "roster.trace.jsonl"
+    with Tracer(str(path)) as obs:
+        run_experiment(fig3_preset("tiny"),
+                       churn="arrive=0.05,depart=0.05,seed=1",
+                       algorithms=("hierminimax", "hierfavg", "fedavg"),
+                       obs=obs)
+    return path
+
+
 class TestLedger:
     def test_ledger_balances_and_reports(self, tmp_path):
         fed = make_blob_fed()
@@ -439,15 +454,41 @@ class TestLedger:
         obs.close()
 
         report = analyze_trace(trace)
-        assert report.membership_totals  # events made it into the trace
-        assert report.membership_initial >= 0
-        assert report.membership_final == final_active
+        membership = report.ledger("membership")
+        assert membership.totals  # events made it into the trace
+        assert membership.initial >= 0
+        assert membership.final == final_active
         # joined - left == net population delta (the balance invariant).
-        assert (report.members_joined - report.members_left
-                == report.membership_net_delta)
+        assert (membership.totals.get("joined", 0)
+                - membership.totals.get("left", 0)
+                == membership.final - membership.initial)
+        assert membership.balanced
         text = format_trace_report(report)
         assert "membership:" in text
         assert "ledger balanced" in text
+
+    def test_multi_run_trace_balances_per_run(self, churned_roster_trace):
+        # Three algorithms share one trace; each run opens its own segment.
+        report = analyze_trace(churned_roster_trace)
+        membership = report.ledger("membership")
+        assert len(membership.segments) == 3
+        assert membership.balanced
+        assert "ledger balanced" in format_trace_report(report)
+
+    def test_deleted_departure_fails_the_law(self, churned_roster_trace,
+                                             tmp_path, capsys):
+        from repro import cli
+
+        assert cli.main(["trace-report", str(churned_roster_trace)]) == 0
+        lines = churned_roster_trace.read_text().splitlines(keepends=True)
+        first_left = next(i for i, line in enumerate(lines)
+                          if '"action":"left"' in line)
+        broken = tmp_path / "broken.trace.jsonl"
+        broken.write_text("".join(lines[:first_left] + lines[first_left + 1:]))
+        capsys.readouterr()
+        assert not analyze_trace(broken).ledger("membership").balanced
+        assert cli.main(["trace-report", str(broken)]) == 1
+        assert "ledger IMBALANCED" in capsys.readouterr().out
 
     def test_sim_time_and_comm_charged(self):
         from repro.simtime import SimTimer, make_cost_model

@@ -446,3 +446,48 @@ class TestRunnerIntegration:
                 if e.get("ev") == "log" and e.get("kind") == "algorithm_done"]
         assert [d["algorithm"] for d in done] == ["fedavg", "hierminimax"]
         assert all(d["rounds"] > 0 and "worst_accuracy" in d for d in done)
+
+
+# ------------------------------------------------------------ ledger table
+class TestLedgerTable:
+    #: ``log`` kinds the report reads outside the ledger table (heartbeat)
+    #: or that carry no ledger (per-algorithm completion marker).
+    NON_LEDGER_KINDS = {"heartbeat", "algorithm_done"}
+
+    def test_every_emitted_log_kind_is_declared(self, tmp_path):
+        """A traced run with every layer active emits no ``log`` kind that
+        is neither a ledger row's nor explicitly outside the table."""
+        from repro.chaos.hooks import chaos
+        from repro.chaos.plan import ChaosPlan
+        from repro.defense import AttackPlan
+        from repro.exec import make_backend
+        from repro.faults import FaultPlan
+        from repro.obs import load_trace
+        from repro.obs.report import ledger_table
+        from tests.conftest import make_blob_fed
+
+        fed = make_blob_fed(num_edges=3, clients_per_edge=3)
+        factory = make_model_factory("logistic", fed.input_dim,
+                                     fed.num_classes)
+        plan = FaultPlan(client_dropout=0.2, msg_loss=0.2, seed=3,
+                         byzantine=AttackPlan(attack="sign_flip",
+                                              clients=(0, 4), scale=5.0))
+        path = tmp_path / "all-layers.trace.jsonl"
+        backend = make_backend("process", workers=2)
+        try:
+            with chaos(ChaosPlan(worker_kill=(1,), seed=0)), \
+                    Tracer(str(path), invariants=True) as obs:
+                HierMinimax(fed, factory, batch_size=4, eta_w=0.1,
+                            eta_p=0.05, tau1=2, tau2=2, m_edges=2, seed=0,
+                            obs=obs, faults=plan, backend=backend,
+                            defense="trimmed_mean,trim=0.3",
+                            churn="arrive=0.1,depart=0.1,edge_mttf=3,"
+                                  "edge_mttr=2,seed=1",
+                            ).run(rounds=6, eval_every=3)
+        finally:
+            backend.close()
+        kinds = {ev["kind"] for ev in load_trace(path) if ev["ev"] == "log"}
+        declared = {kind for spec in ledger_table() for kind in spec.kinds}
+        assert {"fault", "attack", "defense", "membership", "chaos",
+                "worker_respawn"} <= kinds
+        assert not kinds - declared - self.NON_LEDGER_KINDS

@@ -81,6 +81,14 @@ class TestConfiguration:
         assert backend.timeout_s is None
         backend.close()
 
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_malformed_timeout_env_names_the_variable(self, monkeypatch,
+                                                      name):
+        monkeypatch.setenv(TIMEOUT_ENV, "soon")
+        with pytest.raises(ValueError,
+                           match=r"REPRO_EXEC_TIMEOUT_S='soon'"):
+            make_backend(name, workers=2)
+
 
 # ---------------------------------------------------------------------------
 # ProcessBackend: SIGKILLed workers
