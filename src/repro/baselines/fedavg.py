@@ -9,18 +9,12 @@ fairness-blind control of the paper's figures.
 
 from __future__ import annotations
 
-from repro.core.base import FederatedAlgorithm
-from repro.data.dataset import FederatedDataset
-from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection
-from repro.sim.round_ops import aggregate, train_clients
-from repro.topology.sampling import sample_uniform_subset
-from repro.utils.validation import check_fraction, check_positive_int
+from repro.core.rounds import FlatRound
 
 __all__ = ["FedAvg"]
 
 
-class FedAvg(FederatedAlgorithm):
+class FedAvg(FlatRound):
     """Federated Averaging over a flat client-cloud topology.
 
     Parameters
@@ -32,54 +26,15 @@ class FedAvg(FederatedAlgorithm):
     weight_by_data:
         Aggregate proportionally to client dataset sizes (the q_n of Eq. (1));
         ``False`` uses a plain mean.
+    **common:
+        The shared keywords of :class:`~repro.core.base.FederatedAlgorithm`.
     """
 
     name = "fedavg"
-    is_minimax = False
-    uses_hierarchy = False
 
-    def __init__(self, dataset: FederatedDataset, model_factory: ModelFactory, *,
-                 tau1: int = 2, m_clients: int | None = None,
-                 weight_by_data: bool = True,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        super().__init__(dataset, model_factory, batch_size=batch_size, eta_w=eta_w,
-                         seed=seed, projection_w=projection_w, logger=logger,
-                         obs=obs, faults=faults, backend=backend,
-                         defense=defense, timing=timing, churn=churn,
-                         population=population)
-        self.tau1 = check_positive_int(tau1, "tau1")
-        n = self.dataset.num_clients
-        self.m_clients = n if m_clients is None else check_positive_int(
-            m_clients, "m_clients")
-        check_fraction(self.m_clients, n, "m_clients")
-        self.weight_by_data = bool(weight_by_data)
-        self.clients = self._build_clients()
-        # Flat topology: client arrivals/departures only (no edges to fail).
-        self.membership.bind_flat(self.clients)
-
-    @property
-    def slots_per_round(self) -> int:
-        return self.tau1
-
-    def run_round(self, round_index: int) -> None:
-        """One FedAvg round: uniform sample, τ1 local steps, weighted average."""
-        ctx = self._context(round_index)
-        sampled = sample_uniform_subset(len(self.clients), self.m_clients, self.rng)
-        with self.obs.span("phase1_model_update", round=round_index,
-                           sampled_clients=len(sampled)):
-            self.tracker.record("client_cloud", "down", count=len(sampled),
-                                floats=self.w.size)
-            clients = [self.clients[int(i)] for i in sampled]
-            uploads = train_clients(
-                ctx, clients, self.w, steps=self.tau1, link="client_cloud",
-                weights=[float(c.num_samples) if self.weight_by_data else 1.0
-                         for c in clients])
-            self.tracker.sync_cycle("client_cloud")
-            # Survivor-weighted average: dropped clients simply leave the
-            # denominator, which is the weighted-mean renormalization.
-            self.w, _ = aggregate(ctx, uploads, self.w, link="client_cloud",
-                                  what="model_update", rule=self._cloud_agg)
+    def __init__(self, dataset, model_factory, *, tau1: int = 2,
+                 m_clients: int | None = None, weight_by_data: bool = True,
+                 **common) -> None:
+        super().__init__(dataset, model_factory, **common)
+        self._schedule(tau1=tau1, m_clients=m_clients,
+                       weight_by_data=weight_by_data)

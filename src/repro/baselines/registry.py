@@ -7,6 +7,7 @@ interface, forwarding only the parameters each algorithm accepts.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Type
 
 from repro.baselines.drfa import DRFA
@@ -28,29 +29,31 @@ ALGORITHMS: dict[str, Type[FederatedAlgorithm]] = {
     "semiasync_hierminimax": SemiAsyncHierMinimax,
 }
 
-# Which construction keywords each algorithm understands beyond the common set.
-_HIERMINIMAX_KEYS = frozenset({"eta_p", "tau1", "tau2", "m_edges",
-                               "projection_p", "use_checkpoint", "compressor"})
-_EXTRA_KEYS: dict[str, frozenset[str]] = {
-    "fedavg": frozenset({"tau1", "m_clients", "weight_by_data"}),
-    "stochastic_afl": frozenset({"eta_q", "m_clients", "projection_q"}),
-    "drfa": frozenset({"eta_q", "tau1", "m_clients", "projection_q"}),
-    "hierfavg": frozenset({"tau1", "tau2", "m_edges", "weight_by_data"}),
-    "hierminimax": _HIERMINIMAX_KEYS,
-    "semiasync_hierminimax": _HIERMINIMAX_KEYS | {"staleness"},
-}
-_COMMON_KEYS = frozenset(
-    {"batch_size", "eta_w", "seed", "projection_w", "logger", "obs", "faults",
-     "backend", "defense", "timing", "churn", "population"})
 
-# Minimax weight learning rate aliases: the paper's η_p maps onto the two-layer
-# baselines' η_q so one experiment config drives all methods.
-_ETA_ALIASES: dict[str, str] = {
-    "stochastic_afl": "eta_q",
-    "drfa": "eta_q",
-    "hierminimax": "eta_p",
-    "semiasync_hierminimax": "eta_p",
-}
+def _own_keywords(cls: type) -> frozenset[str]:
+    """Keyword-only parameters of ``cls.__init__`` and of every ancestor's it
+    forwards ``**`` to, up to (not including) :class:`FederatedAlgorithm`."""
+    keys: set[str] = set()
+    for klass in cls.__mro__:
+        if klass is FederatedAlgorithm:
+            break
+        init = klass.__dict__.get("__init__")
+        if init is None:
+            continue
+        params = inspect.signature(init).parameters.values()
+        keys |= {p.name for p in params if p.kind is p.KEYWORD_ONLY}
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    return frozenset(keys)
+
+
+# The shared construction keywords, and what each algorithm adds to them.
+_COMMON_KEYS = frozenset(
+    name for name, p in inspect.signature(
+        FederatedAlgorithm.__init__).parameters.items()
+    if p.kind is p.KEYWORD_ONLY)
+_EXTRA_KEYS: dict[str, frozenset[str]] = {
+    name: _own_keywords(cls) for name, cls in ALGORITHMS.items()}
 
 
 def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
@@ -70,6 +73,7 @@ def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}; options: {sorted(ALGORITHMS)}")
     cls = ALGORITHMS[name]
+    extra = _EXTRA_KEYS[name]
     kwargs = dict(kwargs)
 
     shape = dataset
@@ -83,12 +87,13 @@ def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
     elif getattr(dataset, "is_population", False):
         shape = dataset.dataset
 
-    # eta alias: accept eta_p for every minimax method.
-    if "eta_p" in kwargs and _ETA_ALIASES.get(name) == "eta_q":
+    # eta alias: the paper's η_p drives the two-layer baselines' η_q, so one
+    # experiment config drives every minimax method.
+    if "eta_p" in kwargs and "eta_q" in extra:
         kwargs["eta_q"] = kwargs.pop("eta_p")
 
     # participation alias: m_edges -> m_clients for flat methods.
-    if "m_edges" in kwargs and name in ("fedavg", "stochastic_afl", "drfa"):
+    if "m_edges" in kwargs and "m_clients" in extra:
         m_edges = kwargs.pop("m_edges")
         if m_edges is not None and "m_clients" not in kwargs:
             counts = shape.clients_per_edge()
@@ -96,7 +101,7 @@ def make_algorithm(name: str, dataset, model_factory, **kwargs: Any,
                 1, shape.num_clients // shape.num_edges)
             kwargs["m_clients"] = min(shape.num_clients, int(m_edges) * int(n0))
 
-    allowed = _COMMON_KEYS | _EXTRA_KEYS[name]
+    allowed = _COMMON_KEYS | extra
     filtered = {k: v for k, v in kwargs.items() if k in allowed}
     # Cross-algorithm experiment configs legitimately carry parameters some
     # methods do not use (eta_p for minimization methods, tau1/tau2 for

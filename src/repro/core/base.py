@@ -14,7 +14,7 @@ minibatch streams.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +30,12 @@ from repro.metrics.history import HistoryPoint, TrainingHistory, \
     history_from_state, history_state
 from repro.nn.models import ModelFactory
 from repro.obs import NULL_TRACER
-from repro.ops.projections import Projection, identity_projection
+from repro.ops.projections import Projection, identity_projection, \
+    project_simplex
 from repro.population import resolve_population
 from repro.population.store import ShardIntegrityError
-from repro.sim.round_ops import RoundContext, relay
+from repro.sim.cloud import CloudServer
+from repro.sim.round_ops import RunContext
 from repro.simtime import resolve_timing
 from repro.topology.comm import CommSnapshot, CommunicationTracker
 from repro.exec import ExecutionBackend, resolve_backend
@@ -41,12 +43,7 @@ from repro.utils.logging import NullLogger
 from repro.utils.rng import RngFactory, restore_generator
 from repro.utils.validation import check_positive_float, check_positive_int
 
-__all__ = ["FederatedAlgorithm", "RunResult", "EDGE_UNAVAILABLE"]
-
-#: Sentinel returned by :meth:`FederatedAlgorithm._edge_roster` when the
-#: membership layer has taken an edge out of service for the round (crashed,
-#: partitioned, or left without a single active client).
-EDGE_UNAVAILABLE = object()
+__all__ = ["FederatedAlgorithm", "RunResult"]
 
 
 @dataclass(frozen=True)
@@ -172,6 +169,9 @@ class FederatedAlgorithm(ABC):
     name: str = "base"
     #: Whether the algorithm optimizes mixing weights (solves problem (2)/(3)).
     is_minimax: bool = False
+    #: The mixing-weight attribute of a minimax algorithm: ``p`` over edges
+    #: (or top-level areas), ``q`` over clients for the two-layer baselines.
+    weights_name: str = "p"
     #: Whether the algorithm uses the client-edge-cloud hierarchy.
     uses_hierarchy: bool = False
 
@@ -197,14 +197,6 @@ class FederatedAlgorithm(ABC):
         self.obs = obs if obs is not None else NULL_TRACER
         self.faults = resolve_injector(faults, obs=self.obs)
         self.defense = resolve_defense(defense)
-        # Pre-resolved per-tier hooks: None means "the plain weighted mean" —
-        # both for no defense and for the reference mean.
-        self._edge_agg = (None if self.defense is None
-                          else self.defense.tier("edge"))
-        self._cloud_agg = (None if self.defense is None
-                           else self.defense.tier("cloud"))
-        self._loss_clip = (None if self.defense is None
-                           else self.defense.loss_clip)
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = resolve_backend(backend)
         self.timing = resolve_timing(timing)
@@ -213,6 +205,18 @@ class FederatedAlgorithm(ABC):
             # explicit churn= argument wins over it.
             churn = self.faults.plan.churn
         self.membership = resolve_membership(churn, obs=self.obs)
+        # The round primitives' view of this run, resolved once: a tier rule
+        # of None means "the plain weighted mean" — both for no defense and
+        # for the reference mean.
+        defense = self.defense
+        self.ctx = RunContext(
+            self.engine, self.eta_w, projection=projection_w,
+            backend=self.backend, obs=self.obs, faults=self.faults,
+            timing=self.timing, tracker=self.tracker,
+            membership=self.membership,
+            edge_rule=None if defense is None else defense.tier("edge"),
+            cloud_rule=None if defense is None else defense.tier("cloud"),
+            loss_clip=None if defense is None else defense.loss_clip)
         self.w: np.ndarray = self.engine.get_params()
         # Minimax algorithms: the last loss the cloud saw per weighted entity,
         # Phase 2's stale fallback when one is dark or its reply is lost.
@@ -233,7 +237,14 @@ class FederatedAlgorithm(ABC):
 
     def current_weights(self) -> np.ndarray | None:
         """The current mixing-weight vector, if the algorithm has one."""
-        return None
+        return getattr(self, self.weights_name) if self.is_minimax else None
+
+    def _init_weights(self, n: int, projection: Projection | None) -> None:
+        """Phase 2's ascent over ``n`` weighted entities: the cloud (projecting
+        onto ``projection``, default the simplex) and uniform initial weights."""
+        self.cloud = CloudServer(n, weight_projection=projection
+                                 if projection is not None else project_simplex)
+        setattr(self, self.weights_name, self.cloud.initial_weights())
 
     # ------------------------------------------------------------------ driver
     def run(self, rounds: int, *, eval_every: int = 1,
@@ -318,9 +329,7 @@ class FederatedAlgorithm(ABC):
                         self.run_round(k)
                     if obs.enabled:
                         delta = self.tracker.snapshot().diff(comm_before)
-                        round_span.set(comm={"cycles": delta.cycles,
-                                             "messages": delta.messages,
-                                             "floats": delta.floats})
+                        round_span.set(comm=asdict(delta))
                         if self.timing.enabled:
                             round_span.set(sim_s=self.timing.last_round_s)
                             tree = self.timing.last_round_tree
@@ -382,10 +391,7 @@ class FederatedAlgorithm(ABC):
                         hb["average_accuracy"] = last.record.average_accuracy
                     obs.heartbeat(**hb)
             if obs.enabled:
-                snap = self.tracker.snapshot()
-                run_span.set(comm_total={"cycles": snap.cycles,
-                                         "messages": snap.messages,
-                                         "floats": snap.floats})
+                run_span.set(comm_total=asdict(self.tracker.snapshot()))
                 if self.timing.enabled:
                     run_span.set(sim_total_s=self.timing.elapsed_s)
         return self._build_result(history)
@@ -436,17 +442,22 @@ class FederatedAlgorithm(ABC):
         return list(getattr(self, "clients", []))
 
     def _extra_state(self) -> dict:
-        """Subclass hook: algorithm-specific checkpoint state (``p``, aux RNGs).
+        """Subclass hook: algorithm-specific checkpoint state (aux RNGs).
 
-        Minimax algorithms also carry Phase 2's stale-loss memory.
+        Minimax algorithms carry their mixing weights and Phase 2's
+        stale-loss memory.
         """
         if not self.is_minimax:
             return {}
-        return {"last_losses": {str(k): v
+        return {self.weights_name: self.current_weights(),
+                "last_losses": {str(k): v
                                 for k, v in self._last_losses.items()}}
 
     def _restore_extra(self, extra: dict) -> None:
         """Subclass hook: inverse of :meth:`_extra_state`."""
+        if self.is_minimax:
+            setattr(self, self.weights_name, np.asarray(
+                extra[self.weights_name], dtype=np.float64))
         self._last_losses = {int(k): float(v)
                              for k, v in extra.get("last_losses", {}).items()}
 
@@ -473,16 +484,13 @@ class FederatedAlgorithm(ABC):
                     "batches_drawn": sampler.batches_drawn,
                     "sgd_steps_taken": client.sgd_steps_taken,
                 }
-        snap = self.tracker.snapshot()
         state = {
             "algorithm": self.name,
             "round": self.rounds_completed,
             "w": self.w,
             "rng": self.rng,
             "clients": clients,
-            "comm": {"cycles": dict(snap.cycles),
-                     "messages": dict(snap.messages),
-                     "floats": dict(snap.floats)},
+            "comm": asdict(self.tracker.snapshot()),
             "history": (history_state(self._history)
                         if self._history is not None else None),
             "faults": self.faults.state_dict(),
@@ -533,6 +541,12 @@ class FederatedAlgorithm(ABC):
             except (CheckpointError, ShardIntegrityError) as exc:
                 errors.append(f"{candidate}: {exc}")
                 continue
+            if self.obs.enabled:
+                # The resumed run's ``run`` span will report these restored
+                # totals too; the trace analyzer subtracts this opening
+                # balance so a killed + resumed trace replays exactly.
+                self.obs.event("comm_restored", round=self.rounds_completed,
+                               **asdict(self.tracker.snapshot()))
             if index > 0:
                 # The current generation was unusable; say so loudly.
                 if self.obs.enabled:
@@ -609,63 +623,6 @@ class FederatedAlgorithm(ABC):
         """Flat client roster from the population (two-layer baselines)."""
         return self.population.build_flat_clients(batch_size=self.batch_size,
                                                   rng_factory=self.rng_factory)
-
-    def _context(self, round_index: int) -> RoundContext:
-        """The shared round primitives' view of this run at ``round_index``."""
-        return RoundContext(round_index, self.engine, lr=self.eta_w,
-                            projection=self.projection_w,
-                            backend=self.backend, obs=self.obs,
-                            faults=self.faults, timing=self.timing,
-                            tracker=self.tracker, membership=self.membership)
-
-    def _edge_leg(self, ctx: RoundContext, eid: int, *, down_floats: float,
-                  up_floats: float, checkpoint: tuple[int, int] | None = None,
-                  weight_by_data: bool = False, compressor=None,
-                  comp_rng: np.random.Generator | None = None):
-        """One sampled edge's Phase-1 leg: broadcast, ModelUpdate, upload.
-
-        Returns the delivered ``(w_e, w_e_ckpt)`` pair, or ``None`` when the
-        edge is dark, out of service, or its upload was lost in transit.  The
-        broadcast, the edge's blocks and the upload are charged to the
-        innermost open timing scope: a ``branch()`` in the synchronous round,
-        a ``measure()`` in the semi-asynchronous one.
-        """
-        if ctx.injecting and self.faults.edge_dark(ctx.round_index, eid):
-            return None
-        roster = self._edge_roster(eid)
-        if roster is EDGE_UNAVAILABLE:
-            return None
-        return relay(
-            ctx, "edge_cloud", eid, f"edge:{eid}", self.w,
-            lambda: self.edges[eid].model_update(
-                self.engine, self.w, tau1=self.tau1, tau2=self.tau2,
-                lr=self.eta_w, projection=self.projection_w,
-                checkpoint=checkpoint, tracker=self.tracker,
-                weight_by_data=weight_by_data, compressor=compressor,
-                comp_rng=comp_rng, obs=self.obs, faults=self.faults,
-                round_index=ctx.round_index, backend=self.backend,
-                defense=self._edge_agg, timing=self.timing, roster=roster),
-            down_floats=down_floats, up_floats=up_floats,
-            compressor=compressor, comp_rng=comp_rng)
-
-    def _edge_roster(self, edge_id: int):
-        """The edge's membership-adjusted roster for this round.
-
-        ``None`` means "use the construction-time roster" (membership
-        disabled — the byte-identical static path);
-        :data:`EDGE_UNAVAILABLE` means the edge must be skipped this round
-        (crashed, partitioned, or drained of active clients); any list is
-        the live roster to train/probe with.
-        """
-        membership = self.membership
-        if not membership.enabled:
-            return None
-        if not membership.edge_available(edge_id):
-            return EDGE_UNAVAILABLE
-        roster = membership.roster(edge_id)
-        if roster is not None and not roster:
-            return EDGE_UNAVAILABLE
-        return roster
 
     def _evaluation_point(self, round_index: int) -> HistoryPoint:
         # eval_edge_ids is None unless an evaluation cohort was requested

@@ -27,33 +27,17 @@ are verified by the test suite.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.base import EDGE_UNAVAILABLE, FederatedAlgorithm
-from repro.data.dataset import FederatedDataset
-from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection, project_simplex
-from repro.sim.cloud import CloudServer
-from repro.sim.round_ops import RoundContext, Upload, aggregate, \
-    ascend_weights, fan_out
-from repro.topology.sampling import (
-    sample_by_weight,
-    sample_checkpoint_slot,
-    sample_uniform_subset,
-)
-from repro.utils.rng import restore_generator
-from repro.utils.validation import check_fraction, check_positive_float, check_positive_int
+from repro.core.rounds import HierarchicalRound
+from repro.ops.projections import Projection
 
 __all__ = ["HierMinimax"]
 
 
-class HierMinimax(FederatedAlgorithm):
+class HierMinimax(HierarchicalRound):
     """The paper's algorithm: hierarchical distributed minimax optimization.
 
     Parameters
     ----------
-    dataset, model_factory, batch_size, eta_w, seed, projection_w, logger:
-        See :class:`~repro.core.base.FederatedAlgorithm`.
     eta_p:
         Weight learning rate ``η_p`` of Eq. (7).
     tau1:
@@ -80,143 +64,19 @@ class HierMinimax(FederatedAlgorithm):
         reference model — the quantized extension in the spirit of
         Hier-Local-QSGD [22].  ``None`` (default) is the paper's full-precision
         algorithm.
+    **common:
+        The shared keywords of :class:`~repro.core.base.FederatedAlgorithm`.
     """
 
     name = "hierminimax"
     is_minimax = True
-    uses_hierarchy = True
 
-    def __init__(self, dataset: FederatedDataset, model_factory: ModelFactory, *,
-                 eta_p: float = 1e-3, tau1: int = 2, tau2: int = 2,
-                 m_edges: int | None = None,
+    def __init__(self, dataset, model_factory, *, eta_p: float = 1e-3,
+                 tau1: int = 2, tau2: int = 2, m_edges: int | None = None,
                  projection_p: Projection | None = None,
-                 use_checkpoint: bool = True,
-                 compressor=None,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        super().__init__(dataset, model_factory, batch_size=batch_size, eta_w=eta_w,
-                         seed=seed, projection_w=projection_w, logger=logger,
-                         obs=obs, faults=faults, backend=backend,
-                         defense=defense, timing=timing, churn=churn,
-                         population=population)
-        self.eta_p = check_positive_float(eta_p, "eta_p")
-        self.tau1 = check_positive_int(tau1, "tau1")
-        self.tau2 = check_positive_int(tau2, "tau2")
-        n_e = self.dataset.num_edges
-        self.m_edges = n_e if m_edges is None else check_positive_int(m_edges, "m_edges")
-        check_fraction(self.m_edges, n_e, "m_edges")
-        self.edges = self._build_edges()
-        self.membership.bind(self.edges)
-        self.cloud = CloudServer(
-            n_e, weight_projection=projection_p if projection_p is not None
-            else project_simplex)
-        self.p: np.ndarray = self.cloud.initial_weights()
-        self.use_checkpoint = bool(use_checkpoint)
-        self.compressor = compressor
-        self._comp_rng = self.rng_factory.stream("compression")
-        self._dim = self.w.size
-
-    @property
-    def slots_per_round(self) -> int:
-        """``τ1·τ2`` local steps per cloud round."""
-        return self.tau1 * self.tau2
-
-    def current_weights(self) -> np.ndarray:
-        """The current edge weight vector ``p^(k)``."""
-        return self.p
-
-    # ---------------------------------------------------------- checkpointing
-    def _extra_state(self) -> dict:
-        state = {"p": self.p, "comp_rng": self._comp_rng,
-                 **super()._extra_state()}
-        if hasattr(self.compressor, "state_dict"):
-            # Error-feedback residuals are carried from round to round.
-            state["compressor"] = self.compressor.state_dict()
-        return state
-
-    def _restore_extra(self, extra: dict) -> None:
-        super()._restore_extra(extra)
-        self.p = np.asarray(extra["p"], dtype=np.float64)
-        restore_generator(self._comp_rng, extra["comp_rng"])
-        if hasattr(self.compressor, "load_state_dict"):
-            self.compressor.load_state_dict(extra.get("compressor", {}))
-
-    # ---------------------------------------------------------- phase-1 pieces
-    def _edge_upload(self, ctx: RoundContext, eid: int,
-                     checkpoint: tuple[int, int] | None):
-        """One sampled edge's Phase-1 leg (see :meth:`_edge_leg`): the cloud
-        broadcasts ``w^(k)`` plus the ``(c1, c2)`` slot; uploads are the
-        round-final model and, with the checkpoint, its snapshot."""
-        unit_floats = (float(self._dim) if self.compressor is None
-                       else self.compressor.payload_floats(self._dim))
-        return self._edge_leg(
-            ctx, eid, down_floats=self._dim + 2,
-            up_floats=(2 if self.use_checkpoint else 1) * unit_floats,
-            checkpoint=checkpoint, compressor=self.compressor,
-            comp_rng=self._comp_rng)
-
-    def _aggregate_phase1(self, ctx: RoundContext, uploads: list[Upload],
-                          ) -> np.ndarray:
-        """Eqs. (5)/(6): the new ``w`` and the Phase-2 probe model."""
-        self.w, w_checkpoint = aggregate(
-            ctx, uploads, self.w, link="edge_cloud",
-            what="phase1_model_update", rule=self._cloud_agg,
-            checkpoint=self.use_checkpoint)
-        return w_checkpoint
-
-    # ------------------------------------------------------------------ round
-    def run_round(self, round_index: int) -> None:
-        """One training round: Phase 1 (model + checkpoint) then Phase 2 (weights)."""
-        ctx = self._context(round_index)
-        # ---- Phase 1: sample edges by p, sample the checkpoint slot.
-        sampled = sample_by_weight(self.p, self.m_edges, self.rng)
-        c1, c2 = sample_checkpoint_slot(self.tau1, self.tau2, self.rng)
-        checkpoint = (c1, c2) if self.use_checkpoint else None
-        with self.obs.span("phase1_model_update", round=round_index,
-                           sampled_edges=len(sampled), c1=c1, c2=c2):
-            # Cloud broadcasts w^(k) and (c1, c2) to the sampled edges.
-            self.tracker.record("edge_cloud", "down",
-                                count=len(np.unique(sampled)),
-                                floats=self._dim + 2)
-            # Sampled edges work concurrently: the synchronous barrier means
-            # Phase 1's simulated duration is the slowest edge's leg.
-            uploads = fan_out(
-                ctx, sampled,
-                lambda eid: self._edge_upload(ctx, eid, checkpoint),
-                prefix="edge", label="phase1")
-            self.tracker.sync_cycle("edge_cloud")
-            w_checkpoint = self._aggregate_phase1(ctx, uploads)
-
-        # ---- Phase 2: uniform re-sample, loss estimation at the checkpoint model.
-        self._phase2_weight_update(ctx, w_checkpoint)
-
-    def _phase2_weight_update(self, ctx: RoundContext,
-                              w_checkpoint: np.ndarray) -> None:
-        """Phase 2 (Eq. (7)): probe a uniform edge subset, ascend the weights."""
-        d = self._dim
-        timing = self.timing
-
-        def estimate(eid: int) -> float | None:
-            roster = self._edge_roster(eid)
-            if roster is EDGE_UNAVAILABLE or (
-                    ctx.injecting and self.faults.edge_dark(ctx.round_index,
-                                                            eid)):
-                return None
-            if timing.enabled:
-                timing.transfer("edge_cloud", eid, d)
-            return self.edges[eid].estimate_loss(
-                self.engine, w_checkpoint, tracker=self.tracker,
-                faults=self.faults, round_index=ctx.round_index,
-                loss_clip=self._loss_clip, timing=timing, roster=roster)
-
-        with self.obs.span("phase2_weight_update", round=ctx.round_index):
-            probed = sample_uniform_subset(self.dataset.num_edges,
-                                           self.m_edges, self.rng)
-            self.p = ascend_weights(
-                ctx, self.cloud, self.p, probed, estimate, link="edge_cloud",
-                prefix="edge", down_floats=d, stale=self._last_losses,
-                loss_clip=self._loss_clip, eta=self.eta_p, tau1=self.tau1,
-                tau2=self.tau2, gauge="worst_edge_loss")
+                 use_checkpoint: bool = True, compressor=None,
+                 **common) -> None:
+        super().__init__(dataset, model_factory, **common)
+        self._schedule(eta_p=eta_p, tau1=tau1, tau2=tau2, m_edges=m_edges,
+                       projection_p=projection_p,
+                       use_checkpoint=use_checkpoint, compressor=compressor)

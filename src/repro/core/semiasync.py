@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.core.hierminimax import HierMinimax
 from repro.sim.round_ops import Upload
-from repro.topology.sampling import sample_by_weight, sample_checkpoint_slot
 
 __all__ = ["SemiAsyncHierMinimax"]
 
@@ -94,16 +93,13 @@ class SemiAsyncHierMinimax(HierMinimax):
     # ------------------------------------------------------------------ round
     def run_round(self, round_index: int) -> None:
         """Dispatch to free edges, merge the due-or-arrived flights, Phase 2."""
-        ctx = self._context(round_index)
         obs = self.obs
         timing = self.timing
         # Identical Phase-1 sampling to the synchronous algorithm.
-        sampled = sample_by_weight(self.p, self.m_edges, self.rng)
-        c1, c2 = sample_checkpoint_slot(self.tau1, self.tau2, self.rng)
-        checkpoint = (c1, c2) if self.use_checkpoint else None
+        sampled, slot, checkpoint = self._sample_phase1()
         busy = {f["eid"] for f in self._inflight if f["round"] < round_index}
         with obs.span("phase1_model_update", round=round_index,
-                      sampled_edges=len(sampled), c1=c1, c2=c2,
+                      sampled_edges=len(sampled), **slot,
                       busy_edges=len(busy)):
             # ---- Dispatch to every sampled edge that is not mid-flight.
             # Same-round duplicate samples dispatch again, exactly as the
@@ -117,7 +113,7 @@ class SemiAsyncHierMinimax(HierMinimax):
                 dispatched.append(eid)
                 with timing.measure(f"edge:{eid}" if timing.record
                                     else None) as leg:
-                    delivered = self._edge_upload(ctx, eid, checkpoint)
+                    delivered = self._edge_leg(round_index, eid, checkpoint)
                 w_e, w_ckpt = (None, None) if delivered is None else delivered
                 legs.append({"eid": eid, "round": round_index, "w_e": w_e,
                              "w_ckpt": w_ckpt, "duration": leg.duration})
@@ -173,11 +169,11 @@ class SemiAsyncHierMinimax(HierMinimax):
                           max(round_index - f["round"] for f in collected))
             self.tracker.sync_cycle("edge_cloud")
             # ---- Merge with the synchronous Eq. (5)/(6) arithmetic.
-            w_checkpoint = self._merge(ctx, collected)
+            w_checkpoint = self._merge(round_index, collected)
         # ---- Phase 2 is verbatim the synchronous weight update.
-        self._phase2_weight_update(ctx, w_checkpoint)
+        self._phase2_weight_update(round_index, w_checkpoint)
 
-    def _merge(self, ctx, collected: list[dict]) -> np.ndarray:
+    def _merge(self, k: int, collected: list[dict]) -> np.ndarray:
         """Fold the collected flights into ``w``; return the probe model."""
         membership = self.membership
         if membership.enabled:
@@ -189,12 +185,12 @@ class SemiAsyncHierMinimax(HierMinimax):
                         f["eid"]):
                     f["w_e"] = None
                     f["w_ckpt"] = None
-                    self.obs.event("membership", round=ctx.round_index,
+                    self.obs.event("membership", round=k,
                                    action="flight_dropped",
                                    entity=f"edge:{f['eid']}",
                                    dispatched=f["round"])
                     self.obs.count("membership_stale_flights_total")
         # The synchronous Eq. (5)/(6) aggregation point over what landed.
-        return self._aggregate_phase1(ctx, [
+        return self._aggregate_phase1(k, [
             Upload(f"edge:{f['eid']}", 1.0, f["w_e"], f["w_ckpt"])
             for f in collected if f["w_e"] is not None])

@@ -73,10 +73,12 @@ def accuracy_range(acc: np.ndarray) -> float:
 def jain_fairness_index(acc: np.ndarray) -> float:
     """Jain's index ``(Σx)² / (n·Σx²)`` in (0, 1]; 1 means perfectly uniform."""
     acc = _check(acc)
-    denom = acc.size * float(acc @ acc)
-    if denom == 0.0:
+    peak = float(np.abs(acc).max())
+    if peak == 0.0:
         return 1.0
-    return float(acc.sum()) ** 2 / denom
+    # Scaled by the peak so tiny entries cannot underflow Σx² to subnormals.
+    x = acc / peak
+    return float(x.sum()) ** 2 / (acc.size * float(x @ x))
 
 
 def entropy_of_weights(p: np.ndarray) -> float:

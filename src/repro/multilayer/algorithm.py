@@ -32,12 +32,9 @@ from repro.core.base import FederatedAlgorithm
 from repro.data.dataset import FederatedDataset
 from repro.multilayer.tree import HierarchyTree
 from repro.nn.models import ModelFactory
-from repro.ops.projections import Projection, identity_projection, project_simplex
-from repro.sim.cloud import CloudServer
-from repro.sim.round_ops import RoundContext, aggregate, ascend_weights, \
-    client_loss, fan_out, gather_losses, local_steps, mean_reply, relay, \
-    train_clients
-from repro.topology.comm import CommunicationTracker
+from repro.ops.projections import Projection
+from repro.sim.round_ops import aggregate, ascend_weights, client_loss, \
+    fan_out, gather_losses, local_steps, mean_reply, relay, train_clients
 from repro.topology.sampling import sample_by_weight, sample_uniform_subset
 from repro.utils.validation import check_fraction, check_positive_float, check_positive_int
 
@@ -64,6 +61,8 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
     eta_p, m_top, projection_p:
         Weight-ascent rate, sampled level-1 subtrees per phase, and the
         projection onto ``P`` — as in :class:`~repro.core.HierMinimax`.
+    **common:
+        The shared keywords of :class:`~repro.core.base.FederatedAlgorithm`.
     """
 
     name = "multilevel_hierminimax"
@@ -74,17 +73,8 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
                  tree: HierarchyTree | None = None,
                  taus: tuple[int, ...] | None = None,
                  eta_p: float = 1e-3, m_top: int | None = None,
-                 projection_p: Projection | None = None,
-                 batch_size: int = 1, eta_w: float = 1e-3, seed: int = 0,
-                 projection_w: Projection = identity_projection,
-                 logger=None, obs=None, faults=None, backend=None,
-                 defense=None, timing=None, churn=None,
-                 population=None) -> None:
-        super().__init__(dataset, model_factory, batch_size=batch_size,
-                         eta_w=eta_w, seed=seed, projection_w=projection_w,
-                         logger=logger, obs=obs, faults=faults, backend=backend,
-                         defense=defense, timing=timing, churn=churn,
-                         population=population)
+                 projection_p: Projection | None = None, **common) -> None:
+        super().__init__(dataset, model_factory, **common)
         if tree is None:
             counts = self.dataset.clients_per_edge()
             if len(set(counts)) != 1:
@@ -106,34 +96,18 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
         self.m_top = n_top if m_top is None else check_positive_int(m_top, "m_top")
         check_fraction(self.m_top, n_top, "m_top")
         self.clients = self._build_clients()
-        self.cloud = CloudServer(
-            n_top, weight_projection=projection_p if projection_p is not None
-            else project_simplex)
-        self.p: np.ndarray = self.cloud.initial_weights()
-        # Replace the base tracker with one that knows the per-level links.
-        self.tracker = CommunicationTracker(extra_links=tuple(tree.link_names()))
+        self._init_weights(n_top, projection_p)
+        self.tracker.add_links(tree.link_names())
         self._top_nodes = tree.children_of(0, 0)
         # Level-1 subtrees are structural (a client's leaf position is fixed by
         # the tree), so churn runs in flat mode: arrivals/departures plus
         # crash/partition episodes on the top areas, without re-homing.
         self.membership.bind_flat(self.clients, num_edges=tree.num_top_areas)
 
-    # ---------------------------------------------------------- checkpointing
-    def _extra_state(self) -> dict:
-        return {"p": self.p, **super()._extra_state()}
-
-    def _restore_extra(self, extra: dict) -> None:
-        super()._restore_extra(extra)
-        self.p = np.asarray(extra["p"], dtype=np.float64)
-
     @property
     def slots_per_round(self) -> int:
         """``Π_l τ_l`` local steps per cloud round."""
         return math.prod(self.taus)
-
-    def current_weights(self) -> np.ndarray:
-        """The level-1 subtree weights ``p^(k)``."""
-        return self.p
 
     # -------------------------------------------------------------- recursion
     def _decode_checkpoint(self, slot: int) -> tuple[int, ...]:
@@ -144,7 +118,7 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
             slot //= self.taus[level]
         return tuple(digits)
 
-    def _subtree_update(self, ctx: RoundContext, level: int, node: int,
+    def _subtree_update(self, k: int, level: int, node: int,
                         w_start: np.ndarray,
                         ckpt_digits: tuple[int, ...] | None,
                         ) -> tuple[np.ndarray, np.ndarray | None] | None:
@@ -156,11 +130,12 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
         as an unchanged model; only a leaf directly under the cloud (a
         depth-1 tree) can return ``None``, when it drops out.
         """
+        ctx = self.ctx
         depth = self.tree.depth
         if level == depth:
             # Leaf: taus[-1] local SGD steps; snapshot after (leaf digit + 1).
             work, _, results = local_steps(
-                ctx, [self.clients[node]], w_start, steps=self.taus[-1],
+                ctx, k, [self.clients[node]], w_start, steps=self.taus[-1],
                 checkpoint_after=(None if ckpt_digits is None
                                   else ckpt_digits[-1] + 1))
             return (results[0].w_end, results[0].w_checkpoint) if work \
@@ -175,13 +150,13 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
         for t in range(tau_here):
             on_ckpt_path = c_here is not None and t == c_here
             digits = ckpt_digits if on_ckpt_path else None
-            with self.obs.span("edge_block", level=level, node=node, block=t):
-                self.tracker.record(link, "down", count=len(kids), floats=d)
+            with ctx.obs.span("edge_block", level=level, node=node, block=t):
+                ctx.tracker.record(link, "down", count=len(kids), floats=d)
                 if level + 1 == depth:
                     # Children are the leaf clients: run the whole sibling
                     # group as one dispatch on the execution backend.
                     uploads = train_clients(
-                        ctx, [self.clients[k] for k in kids], w,
+                        ctx, k, [self.clients[c] for c in kids], w,
                         steps=self.taus[-1], link=link,
                         checkpoint_after=(None if digits is None
                                           else digits[-1] + 1))
@@ -192,26 +167,26 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
                     # barrier in one expression.
                     uploads = fan_out(
                         ctx, kids,
-                        lambda k: relay(
-                            ctx, link, k, f"node:{level + 1}:{k}", w,
-                            lambda: self._subtree_update(ctx, level + 1, k,
+                        lambda c: relay(
+                            ctx, k, link, c, f"node:{level + 1}:{c}", w,
+                            lambda: self._subtree_update(k, level + 1, c,
                                                          w, digits),
                             down_floats=d,
                             up_floats=d * (2 if on_ckpt_path else 1)),
                         prefix=f"node:{level + 1}")
-                self.tracker.sync_cycle(link)
+                ctx.tracker.sync_cycle(link)
                 # Interior nodes are the generalization of the edge tier: the
                 # policy's edge-slot aggregator applies at every level below
                 # the cloud.
                 w, block_ckpt = aggregate(
-                    ctx, uploads, w, link=link,
-                    what=f"node:{level}:{node}:block:{t}", rule=self._edge_agg,
+                    ctx, k, uploads, w, link=link,
+                    what=f"node:{level}:{node}:block:{t}", rule=ctx.edge_rule,
                     checkpoint=on_ckpt_path)
                 if on_ckpt_path:
                     w_ckpt = block_ckpt
         return w, w_ckpt
 
-    def _subtree_loss(self, ctx: RoundContext, level: int, node: int,
+    def _subtree_loss(self, k: int, level: int, node: int,
                       w: np.ndarray) -> float | None:
         """Recursive LossEstimation: mean of minibatch losses over leaf clients.
 
@@ -219,37 +194,39 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
         clip installed, every interior node damps its children's cohort
         before averaging.
         """
+        ctx = self.ctx
         depth = self.tree.depth
         if level == depth:
-            return client_loss(ctx, self.clients[node], w)
+            return client_loss(ctx, k, self.clients[node], w)
         link = f"level_{level + 1}"
         d = w.size
-        timing = self.timing
+        timing = ctx.timing
 
-        def estimate(k: int) -> float | None:
+        def estimate(c: int) -> float | None:
             if timing.enabled:
-                timing.transfer(link, k, d)
-            return self._subtree_loss(ctx, level + 1, k, w)
+                timing.transfer(link, c, d)
+            return self._subtree_loss(k, level + 1, c, w)
 
         prefix = "client" if level + 1 == depth else f"node:{level + 1}"
-        replies = gather_losses(ctx, link, self.tree.children_of(level, node),
-                                estimate, prefix=prefix, down_floats=d)
-        return mean_reply(ctx, replies, self._loss_clip, prefix)
+        replies = gather_losses(ctx, k, link,
+                                self.tree.children_of(level, node), estimate,
+                                prefix=prefix, down_floats=d)
+        return mean_reply(ctx, k, replies, prefix)
 
     # ------------------------------------------------------------------ round
-    def run_round(self, round_index: int) -> None:
+    def run_round(self, k: int) -> None:
         """One generalized Algorithm-1 round over the tree."""
-        ctx = self._context(round_index)
+        ctx = self.ctx
         d = self.w.size
         faults = self.faults
         membership = self.membership
-        timing = self.timing
+        timing = ctx.timing
 
         def available(aid: int) -> bool:
             # Top areas are the generalization of edge servers: an edge
             # outage blacks out the whole level-1 subtree for the round,
             # whether faulted or churned away.
-            return not ((ctx.injecting and faults.edge_dark(round_index, aid))
+            return not ((ctx.injecting and faults.edge_dark(k, aid))
                         or (membership.enabled
                             and not membership.edge_available(aid)))
 
@@ -257,10 +234,10 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
         sampled = sample_by_weight(self.p, self.m_top, self.rng)
         slot = int(self.rng.integers(0, self.slots_per_round))
         ckpt_digits = self._decode_checkpoint(slot)
-        with self.obs.span("phase1_model_update", round=round_index,
-                           sampled_areas=len(sampled), checkpoint_slot=slot):
-            self.tracker.record("level_1", "down", count=len(np.unique(sampled)),
-                                floats=d + len(self.taus))
+        with ctx.obs.span("phase1_model_update", round=k,
+                          sampled_areas=len(sampled), checkpoint_slot=slot):
+            ctx.tracker.record("level_1", "down", count=len(np.unique(sampled)),
+                               floats=d + len(self.taus))
             # Sampled areas work concurrently; nested levels fold to
             # max-of-max.  The cloud itself performs exactly one "iteration"
             # per round, so the level-1 digit is consumed by sampling: the
@@ -268,16 +245,16 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
             uploads = fan_out(
                 ctx, sampled,
                 lambda aid: relay(
-                    ctx, "level_1", aid, f"area:{aid}", self.w,
+                    ctx, k, "level_1", aid, f"area:{aid}", self.w,
                     lambda: self._subtree_update(
-                        ctx, 1, self._top_nodes[aid], self.w, ckpt_digits),
+                        k, 1, self._top_nodes[aid], self.w, ckpt_digits),
                     down_floats=d + len(self.taus),
                     up_floats=2 * d) if available(aid) else None,
                 prefix="area", label="phase1")
-            self.tracker.sync_cycle("level_1")
+            ctx.tracker.sync_cycle("level_1")
             self.w, w_checkpoint = aggregate(
-                ctx, uploads, self.w, link="level_1",
-                what="phase1_model_update", rule=self._cloud_agg,
+                ctx, k, uploads, self.w, link="level_1",
+                what="phase1_model_update", rule=ctx.cloud_rule,
                 checkpoint=True)
 
         # Phase 2: uniform re-sample; recursive loss estimation; ascent on p.
@@ -286,15 +263,15 @@ class MultiLevelHierMinimax(FederatedAlgorithm):
                 return None
             if timing.enabled:
                 timing.transfer("level_1", aid, d)
-            return self._subtree_loss(ctx, 1, self._top_nodes[aid],
+            return self._subtree_loss(k, 1, self._top_nodes[aid],
                                       w_checkpoint)
 
-        with self.obs.span("phase2_weight_update", round=round_index):
+        with ctx.obs.span("phase2_weight_update", round=k):
             probed = sample_uniform_subset(len(self._top_nodes), self.m_top,
                                            self.rng)
             # Ascent step scaled by the Π_l τ_l slots each update stands in for.
             self.p = ascend_weights(
-                ctx, self.cloud, self.p, probed, estimate, link="level_1",
+                ctx, k, self.cloud, self.p, probed, estimate, link="level_1",
                 prefix="area", down_floats=d, stale=self._last_losses,
-                loss_clip=self._loss_clip, eta=self.eta_p,
-                tau1=self.slots_per_round, tau2=1, gauge="worst_edge_loss")
+                eta=self.eta_p, tau1=self.slots_per_round, tau2=1,
+                gauge="worst_edge_loss")

@@ -10,7 +10,9 @@ trace written by :class:`~repro.obs.tracer.Tracer` and reports
 * communication totals replayed from the per-round deltas and the run-final
   snapshot the instrumented :class:`~repro.core.base.FederatedAlgorithm`
   attaches to its spans — these must match the live
-  :class:`~repro.topology.comm.CommSnapshot` of the run,
+  :class:`~repro.topology.comm.CommSnapshot` of the run (a resumed run's
+  ``comm_restored`` opening balance is subtracted from its snapshot, so a
+  killed + resumed trace replays as one run),
 * the round timeline (duration and traffic of each cloud round),
 * one ledger per cross-cutting layer, replayed from its ``log`` events as
   declared in :func:`ledger_table`: faults injected versus recovered,
@@ -18,7 +20,8 @@ trace written by :class:`~repro.obs.tracer.Tracer` and reports
   joined − left balance must equal each run's population change), runtime
   invariant violations, and crash-recovery actions versus injected chaos
   kill-points — and
-* the final metrics snapshot (counters / gauges / histograms).
+* the metrics snapshots: counters summed over the trace's runs, gauges and
+  histograms as last written.
 """
 
 from __future__ import annotations
@@ -185,10 +188,11 @@ def follow_trace(path: str | Path, *, poll_s: float = 0.5,
 _COMM_PARTS = {"cycles": int, "messages": int, "floats": float}
 
 
-def _merge_comm(into: Mapping[str, dict], snapshot: Mapping) -> None:
+def _merge_comm(into: Mapping[str, dict], snapshot: Mapping,
+                sign: int = 1) -> None:
     for part, cast in _COMM_PARTS.items():
         for k, v in snapshot.get(part, {}).items():
-            into[part][k] = cast(into[part].get(k, 0)) + cast(v)
+            into[part][k] = cast(into[part].get(k, 0)) + sign * cast(v)
 
 
 # ---------------------------------------------------------------- ledgers
@@ -364,7 +368,11 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
     sim_total = 0.0
     sim_from_rounds = 0.0
     have_sim_final = False
-    metrics: Mapping[str, Any] = {}
+    # Each tracer writes one ``metrics`` event when it closes: counters add
+    # up across a trace's runs, every other section keeps its last value.
+    metrics: dict[str, dict] = {}
+    # A resumed run's restored comm totals, pending its ``run`` span.
+    restored: Mapping | None = None
     meta: Mapping[str, Any] = {}
     ledgers = {spec.name: LedgerTally(spec) for spec in ledger_table()}
     routes = {kind: tally for tally in ledgers.values()
@@ -376,7 +384,13 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
         if kind == "trace_start":
             meta = ev.get("meta", {})
         elif kind == "metrics":
-            metrics = ev.get("data", metrics)
+            for section, values in ev.get("data", {}).items():
+                merged = metrics.setdefault(section, {})
+                for key, value in values.items():
+                    merged[key] = (merged.get(key, 0) + value
+                                   if section == "counters" else value)
+        elif kind == "log" and ev.get("kind") == "comm_restored":
+            restored = ev.get("fields", {})
         elif kind == "log" and ev.get("kind") == "heartbeat":
             heartbeats.append(ev.get("fields", {}))
         elif kind == "log" and ev.get("kind") in routes:
@@ -405,9 +419,14 @@ def analyze_trace(source: str | Path | Iterable[dict]) -> TraceReport:
                 ))
             elif name == "run":
                 if "comm_total" in attrs:
-                    # Run-final snapshots accumulate across the trace's runs.
+                    # Run-final snapshots accumulate across the trace's runs;
+                    # a resumed run's total also counts the rounds it
+                    # restored, which an earlier segment already reported.
                     have_final = True
                     _merge_comm(finals, attrs["comm_total"])
+                    if restored is not None:
+                        _merge_comm(finals, restored, sign=-1)
+                        restored = None
                 if "sim_total_s" in attrs:
                     have_sim_final = True
                     sim_total += float(attrs["sim_total_s"])

@@ -1,15 +1,14 @@
-"""Cloud-server actor: global aggregation and the edge-weight ascent step.
+"""Cloud-server actor: the mixing-weight ascent step of Algorithm 1.
 
-The cloud's responsibilities in Algorithm 1 are mechanical — averaging the sampled
-edges' models (Eqs. (5)–(6)) and the projected gradient-ascent update of the edge
-weights (Eq. (7)).  They are factored here so HierMinimax, HierFAVG, and the
-two-layer baselines (which treat clients as degenerate "edges") share one audited
-implementation.
+The cloud's Phase 2 is mechanical — the unbiased loss vector ``v`` and the
+projected gradient-ascent update of the weights (Eq. (7)).  It is factored here
+so HierMinimax, the multi-level variant and the two-layer minimax baselines
+(which treat clients as degenerate "edges") share one audited implementation;
+the cloud's model averages (Eqs. (5)–(6)) are
+:func:`repro.sim.round_ops.aggregate` points.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -40,17 +39,6 @@ class CloudServer:
     def initial_weights(self) -> np.ndarray:
         """The uniform initialization ``p^(0) = [1/N_E, …, 1/N_E]``."""
         return np.full(self.num_edges, 1.0 / self.num_edges)
-
-    @staticmethod
-    def aggregate(models: Sequence[np.ndarray]) -> np.ndarray:
-        """Uniform average of the received model vectors (Eqs. (5)/(6))."""
-        if not models:
-            raise ValueError("cannot aggregate zero models")
-        acc = np.array(models[0], dtype=np.float64, copy=True)
-        for w in models[1:]:
-            acc += w
-        acc /= len(models)
-        return acc
 
     def build_loss_vector(self, losses: dict[int, float]) -> np.ndarray:
         """Construct the unbiased gradient estimate ``v`` of §4.2.

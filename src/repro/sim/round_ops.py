@@ -4,8 +4,10 @@ Algorithm 1 has three kinds of step — clients run local SGD, servers average
 their children's models (Eqs. (4)–(6)), and the cloud takes a projected ascent
 step on the mixing weights (Eq. (7)) — and the baselines are special cases of
 the same schedule (the Remarks after Theorems 1–2).  This module implements
-each kind once, with the fault, defense, timing and membership hooks threaded
-through it, so an algorithm is its sampling schedule plus calls to:
+each kind once, with the fault, defense, timing and membership hooks read
+from one :class:`RunContext` the algorithm builds per run, so an algorithm is
+its sampling schedule plus calls, each taking ``(ctx, k, …)`` for round
+``k``, to:
 
 * :func:`train_clients` — a client leg: step budgets from membership and
   faults, one :func:`~repro.exec.run_local_steps` dispatch, the virtual-clock
@@ -34,6 +36,7 @@ reduces to the paper's arithmetic — no draw, no branch on a disabled layer.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,41 +48,43 @@ from repro.obs import NULL_TRACER
 from repro.ops.projections import Projection, identity_projection
 from repro.simtime import NULL_TIMING
 from repro.topology.comm import CommunicationTracker
+from repro.utils.validation import check_positive_float
 
-__all__ = ["RoundContext", "Upload", "train_clients", "local_steps", "relay",
+__all__ = ["RunContext", "Upload", "train_clients", "local_steps", "relay",
            "fan_out", "aggregate", "gather_losses", "client_loss", "mean_reply",
            "ascend_weights"]
 
 
-class RoundContext:
-    """Everything a primitive reads besides its own inputs, for one round.
+@dataclass(frozen=True, slots=True)
+class RunContext:
+    """Everything a primitive reads besides its own inputs, resolved once per
+    run: the algorithm builds one at construction and passes it, with the
+    round index ``k``, to every primitive and actor call.
 
     ``faults`` may be ``None`` (a bare actor call): nothing is injected and no
-    degradation is reported.  A missing tracker is replaced by a private one
-    whose counts are simply dropped.
+    degradation is reported.  ``edge_rule`` / ``cloud_rule`` are the active
+    robust aggregators of the two tiers (``None``: the weighted mean) and
+    ``loss_clip`` the score-damped cap on loss reports (``None``: off).
     """
 
-    __slots__ = ("round_index", "engine", "lr", "projection", "backend",
-                 "obs", "faults", "injecting", "timing", "tracker",
-                 "membership")
+    engine: object
+    lr: float
+    projection: Projection = identity_projection
+    backend: object = None
+    obs: object = NULL_TRACER
+    faults: object = None
+    timing: object = NULL_TIMING
+    tracker: CommunicationTracker = field(default_factory=CommunicationTracker)
+    membership: object = NULL_MEMBERSHIP
+    edge_rule: object = None
+    cloud_rule: object = None
+    loss_clip: float | None = None
+    injecting: bool = field(init=False)
 
-    def __init__(self, round_index: int, engine, *, lr: float = 0.0,
-                 projection: Projection = identity_projection,
-                 backend=None, obs=None, faults=None, timing=None,
-                 tracker: CommunicationTracker | None = None,
-                 membership=NULL_MEMBERSHIP) -> None:
-        self.round_index = round_index
-        self.engine = engine
-        self.lr = lr
-        self.projection = projection
-        self.backend = backend
-        self.obs = obs if obs is not None else NULL_TRACER
-        self.faults = faults
-        self.injecting = faults is not None and faults.enabled
-        self.timing = timing if timing is not None else NULL_TIMING
-        self.tracker = (tracker if tracker is not None
-                        else CommunicationTracker())
-        self.membership = membership
+    def __post_init__(self) -> None:
+        check_positive_float(self.lr, "lr")
+        object.__setattr__(self, "injecting",
+                           self.faults is not None and self.faults.enabled)
 
 
 class Upload(NamedTuple):
@@ -105,8 +110,8 @@ def _compress(compressor, sender: int, delta: np.ndarray,
     return compressor.compress(delta, rng)
 
 
-def local_steps(ctx: RoundContext, clients: Sequence, w_start: np.ndarray, *,
-                steps: int, checkpoint_after: int | None = None,
+def local_steps(ctx: RunContext, k: int, clients: Sequence,
+                w_start: np.ndarray, *, steps: int, checkpoint_after: int | None = None,
                 weights: Sequence[float] | None = None,
                 ) -> tuple[list[ClientWork], list[float], list]:
     """Fix each client's step budget, then run the group as one dispatch.
@@ -126,7 +131,7 @@ def local_steps(ctx: RoundContext, clients: Sequence, w_start: np.ndarray, *,
         cid = client.client_id
         if membership.enabled and not membership.client_active(cid):
             continue
-        budget = (faults.client_steps(ctx.round_index, cid, steps)
+        budget = (faults.client_steps(k, cid, steps)
                   if ctx.injecting else steps)
         if budget < 1:
             continue
@@ -140,8 +145,8 @@ def local_steps(ctx: RoundContext, clients: Sequence, w_start: np.ndarray, *,
     return work, kept, results
 
 
-def train_clients(ctx: RoundContext, clients: Sequence, w_start: np.ndarray,
-                  *, steps: int, link: str,
+def train_clients(ctx: RunContext, k: int, clients: Sequence,
+                  w_start: np.ndarray, *, steps: int, link: str,
                   checkpoint_after: int | None = None,
                   weights: Sequence[float] | None = None,
                   down_floats: float | None = None,
@@ -162,7 +167,7 @@ def train_clients(ctx: RoundContext, clients: Sequence, w_start: np.ndarray,
     d = w_start.size
     down = float(d) if down_floats is None else down_floats
     unit = float(d) if up_floats is None else up_floats
-    work, kept, results = local_steps(ctx, clients, w_start, steps=steps,
+    work, kept, results = local_steps(ctx, k, clients, w_start, steps=steps,
                                       checkpoint_after=checkpoint_after,
                                       weights=weights)
     timing = ctx.timing
@@ -194,7 +199,7 @@ def train_clients(ctx: RoundContext, clients: Sequence, w_start: np.ndarray,
                                           comp_rng)
         sender = f"client:{cid}"
         delivered = _deliver(
-            ctx, link, sender, w_end, w_c,
+            ctx, k, link, sender, w_end, w_c,
             floats=unit * (2 if item.checkpoint_after is not None else 1),
             ref=w_start)
         if delivered is not None:
@@ -203,8 +208,8 @@ def train_clients(ctx: RoundContext, clients: Sequence, w_start: np.ndarray,
 
 
 # ---------------------------------------------------------------- server leg
-def _deliver(ctx: RoundContext, link: str, sender: str, *payloads,
-            floats: float, ref: np.ndarray | None = None):
+def _deliver(ctx: RunContext, k: int, link: str, sender: str, *payloads,
+             floats: float, ref: np.ndarray | None = None):
     """Account one upload on ``link`` and pass it through the faulty link.
 
     Returns the delivered payload tuple, or ``None`` when the upload was lost
@@ -213,11 +218,11 @@ def _deliver(ctx: RoundContext, link: str, sender: str, *payloads,
     ctx.tracker.record(link, "up", count=1, floats=floats)
     if not ctx.injecting:
         return payloads
-    return ctx.faults.receive(ctx.round_index, link, sender, *payloads,
+    return ctx.faults.receive(k, link, sender, *payloads,
                               floats=floats, tracker=ctx.tracker, ref=ref)
 
 
-def relay(ctx: RoundContext, link: str, entity: int, sender: str,
+def relay(ctx: RunContext, k: int, link: str, entity: int, sender: str,
           w_ref: np.ndarray, update: Callable[[], tuple | None], *,
           down_floats: float, up_floats: float, compressor=None,
           comp_rng: np.random.Generator | None = None,
@@ -243,10 +248,11 @@ def relay(ctx: RoundContext, link: str, entity: int, sender: str,
             w_ckpt = w_ref + compressor.compress(w_ckpt - w_ref, comp_rng)
     if timing.enabled:
         timing.transfer(link, entity, up_floats)
-    return _deliver(ctx, link, sender, w, w_ckpt, floats=up_floats, ref=w_ref)
+    return _deliver(ctx, k, link, sender, w, w_ckpt, floats=up_floats,
+                    ref=w_ref)
 
 
-def fan_out(ctx: RoundContext, ids: Sequence[int],
+def fan_out(ctx: RunContext, ids: Sequence[int],
             leg: Callable[[int], tuple | None], *, prefix: str,
             label: str | None = None,
             weight: Callable[[int], float] | None = None) -> list[Upload]:
@@ -288,9 +294,10 @@ def _weighted_sum(pairs: list[tuple[float, np.ndarray]],
     return acc
 
 
-def aggregate(ctx: RoundContext, uploads: Sequence[Upload], ref: np.ndarray,
-              *, link: str, what: str, rule=None, checkpoint: bool = False,
-              expected: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def aggregate(ctx: RunContext, k: int, uploads: Sequence[Upload],
+              ref: np.ndarray, *, link: str, what: str, rule=None,
+              checkpoint: bool = False, expected: int | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Fold one aggregation point's delivered uploads into ``(w, w_ckpt)``.
 
     Without a robust ``rule`` the model is ``Σ weight·w`` over the uploads,
@@ -310,12 +317,11 @@ def aggregate(ctx: RoundContext, uploads: Sequence[Upload], ref: np.ndarray,
     faults = ctx.faults
     if rule is not None:
         w = robust_combine(rule, [(u.sender, u.weight, u.w) for u in uploads],
-                           ref=ref, faults=faults,
-                           round_index=ctx.round_index, link=link)
+                           ref=ref, faults=faults, round_index=k, link=link)
         w_ckpt = robust_combine(
             rule, [(u.sender, u.weight, u.ckpt) for u in uploads
                    if u.ckpt is not None],
-            ref=ref, faults=faults, round_index=ctx.round_index,
+            ref=ref, faults=faults, round_index=k,
             link=link) if checkpoint else None
     else:
         w = _weighted_sum([(u.weight, u.w) for u in uploads], expected)
@@ -325,36 +331,35 @@ def aggregate(ctx: RoundContext, uploads: Sequence[Upload], ref: np.ndarray,
     if w is None:
         w = ref
         if faults is not None:
-            faults.degraded_round(ctx.round_index, what)
+            faults.degraded_round(k, what)
     if not checkpoint:
         return w, w
     if w_ckpt is None:
         if faults is not None:
-            faults.checkpoint_fallback(ctx.round_index, what)
+            faults.checkpoint_fallback(k, what)
         w_ckpt = w
     return w, w_ckpt
 
 
 # -------------------------------------------------------------------- losses
-def _clip_losses(ctx: RoundContext, losses: dict, loss_clip: float | None,
-                prefix: str) -> dict:
+def _clip_losses(ctx: RunContext, k: int, losses: dict, prefix: str) -> dict:
     """Score-damped reports: cap at ``loss_clip ×`` the median, flag senders.
 
     Returns ``losses`` itself (no copy, no arithmetic) without an active
     clip, so the healthy path stays bit-identical.
     """
-    if loss_clip is None or not losses:
+    if ctx.loss_clip is None or not losses:
         return losses
-    clipped, ids, cap = clip_loss_reports(losses, loss_clip)
+    clipped, ids, cap = clip_loss_reports(losses, ctx.loss_clip)
     if ctx.faults is not None:
         for key in ids:
-            ctx.faults.suspect(ctx.round_index, f"{prefix}:{key}",
+            ctx.faults.suspect(k, f"{prefix}:{key}",
                                action="loss_clipped", aggregator="loss_clip",
                                cap=round(cap, 6))
     return clipped
 
 
-def gather_losses(ctx: RoundContext, link: str, ids: Sequence[int],
+def gather_losses(ctx: RunContext, k: int, link: str, ids: Sequence[int],
                   estimate: Callable[[int], float | None], *, prefix: str,
                   down_floats: float, label: str | None = None,
                   ) -> dict[int, float]:
@@ -379,7 +384,7 @@ def gather_losses(ctx: RoundContext, link: str, ids: Sequence[int],
                     continue
                 if timing.enabled:
                     timing.transfer(link, i, 1)
-                delivered = _deliver(ctx, link, f"{prefix}:{i}", loss,
+                delivered = _deliver(ctx, k, link, f"{prefix}:{i}", loss,
                                      floats=1.0)
                 if delivered is None:
                     continue
@@ -388,7 +393,7 @@ def gather_losses(ctx: RoundContext, link: str, ids: Sequence[int],
     return replies
 
 
-def client_loss(ctx: RoundContext, client, w: np.ndarray, *,
+def client_loss(ctx: RunContext, k: int, client, w: np.ndarray, *,
                 link: str | None = None) -> float | None:
     """One client's answer to a loss probe at ``w``.
 
@@ -399,7 +404,7 @@ def client_loss(ctx: RoundContext, client, w: np.ndarray, *,
     cid = client.client_id
     if not ctx.membership.client_active(cid) or (
             ctx.injecting
-            and not ctx.faults.client_available(ctx.round_index, cid)):
+            and not ctx.faults.client_available(k, cid)):
         return None
     if ctx.timing.enabled:
         if link is not None:
@@ -408,23 +413,23 @@ def client_loss(ctx: RoundContext, client, w: np.ndarray, *,
     return client.estimate_loss(ctx.engine, w)
 
 
-def mean_reply(ctx: RoundContext, replies: dict, loss_clip: float | None,
+def mean_reply(ctx: RunContext, k: int, replies: dict,
                prefix: str) -> float | None:
     """Average of the arrived replies (``None`` when none did), after the
     loss clip damps the cohort — one inflated report cannot poison the
     whole subtree's score on its way up."""
     if not replies:
         return None
-    replies = _clip_losses(ctx, replies, loss_clip, prefix)
+    replies = _clip_losses(ctx, k, replies, prefix)
     return sum(replies.values()) / len(replies)
 
 
-def ascend_weights(ctx: RoundContext, cloud, weights: np.ndarray,
+def ascend_weights(ctx: RunContext, k: int, cloud, weights: np.ndarray,
                    probed: Sequence[int],
                    estimate: Callable[[int], float | None], *, link: str,
                    prefix: str, down_floats: float, stale: dict[int, float],
-                   loss_clip: float | None, eta: float, tau1: int = 1,
-                   tau2: int = 1, gauge: str) -> np.ndarray:
+                   eta: float, tau1: int = 1, tau2: int = 1,
+                   gauge: str) -> np.ndarray:
     """Phase 2 (Eq. (7)): probe ``probed``, then one projected ascent step.
 
     A probed entity that stays silent (dark, unavailable, reply lost)
@@ -434,7 +439,7 @@ def ascend_weights(ctx: RoundContext, cloud, weights: np.ndarray,
     all is known this round (``degraded_round``).
     """
     faults = ctx.faults
-    replies = gather_losses(ctx, link, probed, estimate, prefix=prefix,
+    replies = gather_losses(ctx, k, link, probed, estimate, prefix=prefix,
                             down_floats=down_floats, label="phase2")
     losses: dict[int, float] = {}
     for e in probed:
@@ -444,12 +449,12 @@ def ascend_weights(ctx: RoundContext, cloud, weights: np.ndarray,
             continue
         value = stale.get(eid)
         if value is not None:
-            faults.stale_loss(ctx.round_index, f"{prefix}:{eid}", value)
+            faults.stale_loss(k, f"{prefix}:{eid}", value)
             losses[eid] = value
-    losses = _clip_losses(ctx, losses, loss_clip, prefix)
+    losses = _clip_losses(ctx, k, losses, prefix)
     if not losses:
         # No loss information at all this round: keep the weights as is.
-        faults.degraded_round(ctx.round_index, "phase2_weight_update")
+        faults.degraded_round(k, "phase2_weight_update")
         return weights
     stale.update(losses)
     ctx.obs.gauge(gauge, max(losses.values()))

@@ -128,21 +128,20 @@ class CommSnapshot:
 
 
 class CommunicationTracker:
-    """Mutable accumulator of the communication performed by one algorithm run.
+    """Mutable accumulator of the communication performed by one algorithm run."""
 
-    Parameters
-    ----------
-    extra_links:
-        Additional link names beyond the standard three — used by the
-        multi-layer generalization, whose trees have one link type per level
-        (``level_1``, ``level_2``, …).
-    """
-
-    def __init__(self, extra_links: tuple[str, ...] = ()) -> None:
-        self._links = tuple(LINKS) + tuple(extra_links)
+    def __init__(self) -> None:
+        self._links = tuple(LINKS)
         self._cycles: Dict[str, int] = {link: 0 for link in self._links}
         self._messages: Dict[str, int] = {}
         self._floats: Dict[str, float] = {}
+
+    def add_links(self, links) -> None:
+        """Also accept the named links — the multi-layer generalization's
+        one link type per tree level (``level_1``, ``level_2``, …)."""
+        self._links = tuple(dict.fromkeys(self._links + tuple(links)))
+        for link in self._links:
+            self._cycles.setdefault(link, 0)
 
     def record(self, link: str, direction: str, *, count: int = 1,
                floats: float = 0.0) -> None:
@@ -205,8 +204,7 @@ class CommunicationTracker:
         Links present in the snapshot but unknown to this tracker are added,
         so a tracker restored from a multi-layer run keeps its level links.
         """
-        self._links = tuple(dict.fromkeys(
-            tuple(self._links) + tuple(snapshot.cycles)))
+        self.add_links(snapshot.cycles)
         self._cycles = {link: 0 for link in self._links}
         self._cycles.update({k: int(v) for k, v in snapshot.cycles.items()})
         self._messages = {k: int(v) for k, v in snapshot.messages.items()}

@@ -35,6 +35,7 @@ from repro.faults import (
 from repro.multilayer import MultiLevelHierMinimax
 from repro.nn.models import make_model_factory
 from repro.obs import Tracer, analyze_trace, format_trace_report
+from repro.sim.round_ops import RunContext
 from repro.topology.comm import CommunicationTracker
 
 
@@ -477,9 +478,9 @@ class TestInputValidation:
         algo = make_hmm(blob_fed, blob_factory)
         edge = algo.edges[0]
         with pytest.raises(ValueError):
-            edge.model_update(algo.engine, algo.w, tau1=0, tau2=2, lr=0.1)
+            edge.model_update(algo.ctx, 0, algo.w, tau1=0, tau2=2)
         with pytest.raises(ValueError):
-            edge.model_update(algo.engine, algo.w, tau1=2, tau2=2, lr=0.0)
+            RunContext(algo.engine, 0.0)
 
     def test_compress_requires_explicit_rng(self):
         from repro.compression import QSGDQuantizer

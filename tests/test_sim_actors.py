@@ -12,6 +12,7 @@ from repro.sim.builder import build_edge_servers, build_flat_clients
 from repro.sim.client import Client
 from repro.sim.cloud import CloudServer
 from repro.sim.edge import EdgeServer
+from repro.sim.round_ops import RunContext
 from repro.topology.comm import CommunicationTracker
 from repro.utils.rng import RngFactory
 
@@ -25,6 +26,11 @@ def _client(seed=0, n=20, d=4, classes=3, batch=4, cid=0):
 
 def _engine(d=4, classes=3):
     return logistic_regression(d, classes, rng=0)
+
+
+def _run(engine, tracker=None):
+    """A bare run context (lr 0.1) for driving one actor directly."""
+    return RunContext(engine, 0.1, tracker=tracker or CommunicationTracker())
 
 
 class TestClient:
@@ -123,7 +129,7 @@ class TestEdgeServer:
         engine = _engine()
         w0 = engine.get_params()
         edge = EdgeServer(0, [_client(seed=9)])
-        w_edge, _ = edge.model_update(engine, w0, tau1=3, tau2=1, lr=0.1)
+        w_edge, _ = edge.model_update(_run(engine), 0, w0, tau1=3, tau2=1)
         w_cli, _ = _client(seed=9).local_sgd(engine, w0, steps=3, lr=0.1)
         np.testing.assert_allclose(w_edge, w_cli)
 
@@ -132,7 +138,7 @@ class TestEdgeServer:
         w0 = engine.get_params()
         clients = [_client(seed=20 + i, cid=i) for i in range(3)]
         edge = EdgeServer(0, clients)
-        w_edge, _ = edge.model_update(engine, w0, tau1=2, tau2=1, lr=0.1)
+        w_edge, _ = edge.model_update(_run(engine), 0, w0, tau1=2, tau2=1)
         finals = []
         for i in range(3):
             c = _client(seed=20 + i, cid=i)
@@ -144,9 +150,9 @@ class TestEdgeServer:
         engine = _engine()
         edge = self._edge()
         w0 = engine.get_params()
-        _, ckpt_none = edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1)
+        _, ckpt_none = edge.model_update(_run(engine), 0, w0, tau1=2, tau2=2)
         assert ckpt_none is None
-        _, ckpt = edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1,
+        _, ckpt = edge.model_update(_run(engine), 0, w0, tau1=2, tau2=2,
                                     checkpoint=(1, 0))
         assert ckpt is not None and ckpt.shape == w0.shape
 
@@ -155,23 +161,23 @@ class TestEdgeServer:
         edge = self._edge()
         w0 = engine.get_params()
         with pytest.raises(ValueError):
-            edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1, checkpoint=(0, 0))
+            edge.model_update(_run(engine), 0, w0, tau1=2, tau2=2, checkpoint=(0, 0))
         with pytest.raises(ValueError):
-            edge.model_update(engine, w0, tau1=2, tau2=2, lr=0.1, checkpoint=(1, 2))
+            edge.model_update(_run(engine), 0, w0, tau1=2, tau2=2, checkpoint=(1, 2))
 
     def test_tau_validations(self):
         engine = _engine()
         edge = self._edge()
         with pytest.raises(ValueError):
-            edge.model_update(engine, engine.get_params(), tau1=0, tau2=1, lr=0.1)
+            edge.model_update(_run(engine), 0, engine.get_params(), tau1=0, tau2=1)
 
     def test_tracker_accounting_model_update(self):
         engine = _engine()
         edge = self._edge(n_clients=3)
         tracker = CommunicationTracker()
         d = engine.num_parameters
-        edge.model_update(engine, engine.get_params(), tau1=2, tau2=2, lr=0.1,
-                          checkpoint=(1, 0), tracker=tracker)
+        edge.model_update(_run(engine, tracker), 0, engine.get_params(),
+                          tau1=2, tau2=2, checkpoint=(1, 0))
         snap = tracker.snapshot()
         assert snap.cycles["client_edge"] == 2  # one per aggregation block
         # downlink: tau2 blocks x 3 clients model broadcasts
@@ -190,13 +196,13 @@ class TestEdgeServer:
             _client(seed=30, cid=0).estimate_loss(engine, w),
             _client(seed=31, cid=1).estimate_loss(engine, w),
         ])
-        assert edge.estimate_loss(engine, w) == pytest.approx(expected)
+        assert edge.estimate_loss(_run(engine), 0, w) == pytest.approx(expected)
 
     def test_estimate_loss_tracker(self):
         engine = _engine()
         edge = self._edge(n_clients=3)
         tracker = CommunicationTracker()
-        edge.estimate_loss(engine, engine.get_params(), tracker=tracker)
+        edge.estimate_loss(_run(engine, tracker), 0, engine.get_params())
         snap = tracker.snapshot()
         assert snap.cycles["client_edge"] == 1
         assert snap.messages["client_edge:up"] == 3
@@ -214,19 +220,6 @@ class TestCloudServer:
     def test_initial_weights_uniform(self):
         cloud = CloudServer(4)
         np.testing.assert_allclose(cloud.initial_weights(), np.full(4, 0.25))
-
-    def test_aggregate_mean(self):
-        out = CloudServer.aggregate([np.array([0.0, 2.0]), np.array([2.0, 0.0])])
-        np.testing.assert_allclose(out, [1.0, 1.0])
-
-    def test_aggregate_does_not_mutate_inputs(self):
-        a = np.array([1.0, 1.0])
-        CloudServer.aggregate([a, np.array([3.0, 3.0])])
-        np.testing.assert_array_equal(a, [1.0, 1.0])
-
-    def test_aggregate_empty_raises(self):
-        with pytest.raises(ValueError):
-            CloudServer.aggregate([])
 
     def test_build_loss_vector_scaling(self):
         cloud = CloudServer(4)

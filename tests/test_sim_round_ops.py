@@ -13,7 +13,7 @@ import pytest
 from repro.defense.aggregators import AggregationOutcome, RobustAggregator
 from repro.faults import FaultInjector, FaultPlan
 from repro.sim.cloud import CloudServer
-from repro.sim.round_ops import RoundContext, Upload, aggregate, \
+from repro.sim.round_ops import RunContext, Upload, aggregate, \
     ascend_weights, mean_reply
 from repro.topology.comm import CommunicationTracker
 
@@ -39,12 +39,15 @@ class _Events:
         return [fields for k, fields in self.events if k == kind]
 
 
-def _ctx(plan: FaultPlan | None = None, round_index: int = 3):
+K = 3  # the round index every context-bound call below runs at
+
+
+def _ctx(plan: FaultPlan | None = None, loss_clip: float | None = None):
     obs = _Events()
     faults = FaultInjector(plan if plan is not None else FaultPlan.none(),
                            obs=obs)
-    ctx = RoundContext(round_index, engine=None, obs=obs, faults=faults,
-                       tracker=CommunicationTracker())
+    ctx = RunContext(None, 0.1, obs=obs, faults=faults,
+                     tracker=CommunicationTracker(), loss_clip=loss_clip)
     return ctx, obs
 
 
@@ -60,7 +63,7 @@ class TestArithmeticOrder:
         weights = np.full(3, 1.0 / 3)
         uploads = [Upload(f"client:{i}", weights[i], w, None)
                    for i, w in enumerate(ws)]
-        out, _ = aggregate(ctx, uploads, np.zeros(5), link="client_edge",
+        out, _ = aggregate(ctx, K, uploads, np.zeros(5), link="client_edge",
                            what="edge:0:block:0", expected=3)
         acc = np.zeros(5)
         for weight, w in zip(weights, ws):
@@ -73,7 +76,7 @@ class TestArithmeticOrder:
         share = np.array([2.0, 3.0, 5.0]) / 10.0
         uploads = [Upload("client:0", share[0], ws[0], None),
                    Upload("client:2", share[2], ws[2], None)]
-        out, _ = aggregate(ctx, uploads, np.zeros(5), link="client_edge",
+        out, _ = aggregate(ctx, K, uploads, np.zeros(5), link="client_edge",
                            what="edge:0:block:0", expected=3)
         acc = np.zeros(5)
         acc += share[0] * ws[0]
@@ -89,7 +92,7 @@ class TestArithmeticOrder:
         ctx, _ = _ctx()
         ws = _vectors(survivors, seed=1)
         uploads = [Upload(f"edge:{i}", 1.0, w, None) for i, w in enumerate(ws)]
-        out, _ = aggregate(ctx, uploads, np.zeros(5), link="edge_cloud",
+        out, _ = aggregate(ctx, K, uploads, np.zeros(5), link="edge_cloud",
                            what="phase1_model_update")
         acc = np.zeros(5)
         for w in ws:
@@ -103,7 +106,7 @@ class TestArithmeticOrder:
         sizes = [12.0, 30.0, 7.0]
         uploads = [Upload(f"edge:{i}", s, w, None)
                    for i, (s, w) in enumerate(zip(sizes, ws))]
-        out, _ = aggregate(ctx, uploads, np.zeros(5), link="edge_cloud",
+        out, _ = aggregate(ctx, K, uploads, np.zeros(5), link="edge_cloud",
                            what="model_update")
         acc = np.zeros(5)
         for s, w in zip(sizes, ws):
@@ -115,7 +118,7 @@ class TestDegradation:
     def test_zero_survivors_keep_the_model(self):
         ctx, obs = _ctx()
         ref = np.arange(5.0)
-        out, ckpt = aggregate(ctx, [], ref, link="edge_cloud",
+        out, ckpt = aggregate(ctx, K, [], ref, link="edge_cloud",
                               what="phase1_model_update", checkpoint=True)
         assert np.array_equal(out, np.arange(5.0))
         assert ckpt is out
@@ -127,7 +130,7 @@ class TestDegradation:
         ctx, obs = _ctx()
         ws = _vectors(2, seed=3)
         uploads = [Upload(f"edge:{i}", 1.0, w, None) for i, w in enumerate(ws)]
-        out, ckpt = aggregate(ctx, uploads, np.zeros(5), link="edge_cloud",
+        out, ckpt = aggregate(ctx, K, uploads, np.zeros(5), link="edge_cloud",
                               what="phase1_model_update", checkpoint=True)
         assert np.array_equal(out, (ws[0] + ws[1]) / 2)
         assert ckpt is out
@@ -141,7 +144,7 @@ class TestDegradation:
         uploads = [Upload("edge:0", 1.0, ws[0], cs[0]),
                    Upload("edge:1", 1.0, ws[1], None),
                    Upload("edge:2", 1.0, ws[2], cs[2])]
-        _, ckpt = aggregate(ctx, uploads, np.zeros(5), link="edge_cloud",
+        _, ckpt = aggregate(ctx, K, uploads, np.zeros(5), link="edge_cloud",
                             what="phase1_model_update", checkpoint=True)
         acc = np.zeros(5)
         acc += cs[0]
@@ -150,8 +153,8 @@ class TestDegradation:
         assert obs.events == []
 
     def test_bare_actor_context_reports_nothing(self):
-        ctx = RoundContext(0, engine=None)
-        out, _ = aggregate(ctx, [], np.ones(3), link="client_edge",
+        ctx = RunContext(None, 0.1)
+        out, _ = aggregate(ctx, 0, [], np.ones(3), link="client_edge",
                            what="edge:0:block:0", expected=2)
         assert np.array_equal(out, np.ones(3))
 
@@ -178,7 +181,7 @@ class TestRobustRule:
         uploads = [Upload(f"client:{i}", 0.25, w, None)
                    for i, w in enumerate(ws)]
         rule = _Distrustful()
-        out, _ = aggregate(ctx, uploads, ref, link="client_edge",
+        out, _ = aggregate(ctx, K, uploads, ref, link="client_edge",
                            what="edge:1:block:0", rule=rule, expected=4)
         assert np.array_equal(out, np.mean(ws[2:], axis=0))
         assert rule.refs == [ref]
@@ -196,9 +199,9 @@ class TestLosses:
         cloud = CloudServer(3)
         p = cloud.initial_weights()
         stale = {0: 0.5, 2: 2.0}
-        out = ascend_weights(ctx, cloud, p, [0, 1, 2], lambda e: 1.0,
+        out = ascend_weights(ctx, K, cloud, p, [0, 1, 2], lambda e: 1.0,
                              link="edge_cloud", prefix="edge", down_floats=4,
-                             stale=stale, loss_clip=None, eta=0.1,
+                             stale=stale, eta=0.1,
                              gauge="worst_edge_loss")
         expected = cloud.update_weights(
             p, cloud.build_loss_vector({0: 0.5, 2: 2.0}), eta_p=0.1)
@@ -211,9 +214,9 @@ class TestLosses:
         ctx, obs = _ctx()
         cloud = CloudServer(2)
         p = cloud.initial_weights()
-        out = ascend_weights(ctx, cloud, p, [0, 1], lambda e: None,
+        out = ascend_weights(ctx, K, cloud, p, [0, 1], lambda e: None,
                              link="edge_cloud", prefix="edge", down_floats=4,
-                             stale={}, loss_clip=None, eta=0.1,
+                             stale={}, eta=0.1,
                              gauge="worst_edge_loss")
         assert out is p
         assert [f["fault"] for f in obs.kinds("fault")] == ["degraded_round"]
@@ -222,17 +225,18 @@ class TestLosses:
         ctx, _ = _ctx()
         cloud = CloudServer(2)
         stale = {0: 9.0}
-        ascend_weights(ctx, cloud, cloud.initial_weights(), [0, 1],
+        ascend_weights(ctx, K, cloud, cloud.initial_weights(), [0, 1],
                        lambda e: 1.0 + e, link="edge_cloud", prefix="edge",
-                       down_floats=4, stale=stale, loss_clip=None, eta=0.1,
+                       down_floats=4, stale=stale, eta=0.1,
                        gauge="worst_edge_loss")
         assert stale == {0: 1.0, 1: 2.0}
 
     def test_mean_reply_clips_then_averages(self):
-        ctx, obs = _ctx()
+        ctx, obs = _ctx(loss_clip=2.0)
         replies = {0: 1.0, 1: 1.0, 2: 1.0, 3: 40.0}
-        out = mean_reply(ctx, replies, 2.0, "client")
+        out = mean_reply(ctx, K, replies, "client")
         assert out == (1.0 + 1.0 + 1.0 + 2.0) / 4
         assert [f["entity"] for f in obs.kinds("defense")] == ["client:3"]
-        assert mean_reply(ctx, {}, 2.0, "client") is None
-        assert mean_reply(ctx, {0: 1.5, 1: 2.5}, None, "client") == 2.0
+        assert mean_reply(ctx, K, {}, "client") is None
+        unclipped, _ = _ctx()
+        assert mean_reply(unclipped, K, {0: 1.5, 1: 2.5}, "client") == 2.0

@@ -28,6 +28,7 @@ from repro.core.semiasync import SemiAsyncHierMinimax
 from repro.exec import resolve_backend
 from repro.faults import FaultPlan
 from repro.metrics.history import TrainingHistory
+from repro.sim.round_ops import RunContext
 from repro.simtime import (
     HeterogeneousCostModel,
     NULL_TIMING,
@@ -315,9 +316,9 @@ class TestAlgorithmIntegration:
         # tau1=4 at 3x slowdown -> the straggler finishes int(4/3)=1 step,
         # charged at 1 x 3 = 3 s of device time (vs 4 s healthy, 1 s unscaled).
         with timing.round(0):
-            edge.model_update(engine, engine.get_params(), tau1=4, tau2=1,
-                              lr=0.1, faults=injector, round_index=0,
-                              timing=timing)
+            edge.model_update(RunContext(engine, 0.1, faults=injector,
+                                         timing=timing), 0,
+                              engine.get_params(), tau1=4, tau2=1)
         # down transfer (2 s) + 3 s compute + up transfer (2 s) = 7 s.
         assert timing.elapsed_s == 7.0
 

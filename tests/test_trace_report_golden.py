@@ -179,12 +179,10 @@ def kill_resume_trace(workdir: Path) -> list[dict]:
     return events
 
 
-def kill_resume_text(workdir: Path) -> str:
+def kill_resume_text(report) -> str:
     """The report of :func:`kill_resume_trace` without its header line (the
     event count, which the resume's own ledger entries may change)."""
-    text = format_trace_report(analyze_trace(kill_resume_trace(workdir)),
-                               timeline=2)
-    return text.split("\n", 1)[1]
+    return format_trace_report(report, timeline=2).split("\n", 1)[1]
 
 
 @pytest.fixture(scope="module")
@@ -192,16 +190,47 @@ def golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
+@pytest.fixture(scope="module")
+def kill_resume_report(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("kill_resume")
+    return analyze_trace(kill_resume_trace(workdir))
+
+
 @pytest.mark.parametrize("case", sorted(_synthetic_cases()))
 def test_synthetic_report_text_is_pinned(golden, case):
     assert _synthetic_cases()[case] == golden[case]
 
 
-def test_kill_resume_report_text_is_pinned(golden, tmp_path, capsys):
-    text = kill_resume_text(tmp_path)
-    capsys.readouterr()  # the quickstart's own console output
+def test_kill_resume_report_text_is_pinned(golden, kill_resume_report):
+    text = kill_resume_text(kill_resume_report)
     assert "30 -> 23 (net -7; ledger balanced)" in text
     assert text == golden["kill-resume-t2"]
+
+
+def test_kill_resume_trace_replays_as_one_run(kill_resume_report):
+    """The resumed segment's restored comm totals are subtracted, and the
+    two tracers' counters add up to the whole 60-round run."""
+    report = kill_resume_report
+    assert report.replay_consistent
+    assert report.edge_cloud_cycles == 2 * 60  # Phase 1 + Phase 2 per round
+    counters = report.metrics["counters"]
+    assert counters["rounds_total"] == 60
+    membership = report.ledger("membership")
+    assert membership.balanced
+    assert counters["membership_joined_total"] == membership.totals["joined"]
+    assert counters["membership_left_total"] == membership.totals["left"]
+
+
+def test_metrics_counters_sum_and_gauges_keep_the_last_value():
+    def metrics(counters, gauges):
+        return {"ev": "metrics", "t": 0.0,
+                "data": {"counters": counters, "gauges": gauges}}
+
+    report = analyze_trace([metrics({"rounds_total": 3, "a": 1},
+                                    {"acc": 0.5}),
+                            metrics({"rounds_total": 4}, {"acc": 0.7})])
+    assert report.metrics["counters"] == {"rounds_total": 7, "a": 1}
+    assert report.metrics["gauges"] == {"acc": 0.7}
 
 
 if __name__ == "__main__":
@@ -209,6 +238,7 @@ if __name__ == "__main__":
 
     cases = _synthetic_cases()
     with tempfile.TemporaryDirectory() as tmp:
-        cases["kill-resume-t2"] = kill_resume_text(Path(tmp))
+        cases["kill-resume-t2"] = kill_resume_text(
+            analyze_trace(kill_resume_trace(Path(tmp))))
     GOLDEN_PATH.write_text(json.dumps(cases, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cases)} cases to {GOLDEN_PATH}")
